@@ -22,7 +22,7 @@ use crate::problem::Fidelity;
 use mfbo_gp::kernel::{Kernel, NargpKernel, SquaredExponential};
 use mfbo_gp::{DiffBatch, Gp, GpConfig, GpError, InferenceMode, Prediction};
 use mfbo_linalg::norm_inv_cdf;
-use mfbo_pool::{par_map_indexed, Parallelism};
+use mfbo_pool::Parallelism;
 use rand::Rng;
 
 /// Augments each `x` with the low GP's standardized posterior mean — the
@@ -50,10 +50,9 @@ pub struct MfGpConfig {
     pub low: GpConfig,
     /// Training configuration of the high-fidelity (fusion) GP.
     pub high: GpConfig,
-    /// Distributes the stratified Monte-Carlo posterior samples of
-    /// [`MfGp::predict`] over a thread pool. The quantiles are fixed and the
-    /// moment-matching reduction runs in sample order, so every mode returns
-    /// bit-identical predictions.
+    /// Distributes the per-model fits of a surrogate bundle over a thread
+    /// pool (see [`MfGpConfig::with_parallelism`] for the nested restarts).
+    /// Every mode trains bit-identical models.
     pub parallelism: Parallelism,
 }
 
@@ -125,11 +124,24 @@ impl MfGpConfig {
 pub struct MfGp {
     low: Gp<SquaredExponential>,
     high: Gp<NargpKernel>,
-    mc_samples: usize,
-    parallelism: Parallelism,
+    /// The standard-normal quantiles `Φ⁻¹((k+½)/S)` of the S stratified
+    /// eq. (10) samples, drawn once per model instead of once per query.
+    quantiles: Vec<f64>,
 }
 
 impl MfGp {
+    fn new(low: Gp<SquaredExponential>, high: Gp<NargpKernel>, mc_samples: usize) -> Self {
+        let s = mc_samples.max(1);
+        let quantiles = (0..s)
+            .map(|k| norm_inv_cdf((k as f64 + 0.5) / s as f64))
+            .collect();
+        MfGp {
+            low,
+            high,
+            quantiles,
+        }
+    }
+
     /// Trains the fusion model on coarse data `(xl, yl)` and fine data
     /// `(xh, yh)`.
     ///
@@ -228,25 +240,13 @@ impl MfGp {
         let aug = augment_inputs(&low, &xh);
         let high = Gp::fit_planned(NargpKernel::new(dim), aug, yh, &config.high, plan.high)?;
 
-        Ok(MfGp {
-            low,
-            high,
-            mc_samples: config.mc_samples.max(1),
-            parallelism: config.parallelism,
-        })
+        Ok(MfGp::new(low, high, config.mc_samples))
     }
 
     /// The winning NLML start index of each stage's most recent trained fit
     /// (see [`Gp::best_start`]); `(low, high)`.
     pub fn best_starts(&self) -> (Option<usize>, Option<usize>) {
         (self.low.best_start(), self.high.best_start())
-    }
-
-    /// Sets the [`Parallelism`] mode used by [`MfGp::predict`]'s Monte-Carlo
-    /// propagation. Predictions are bit-identical in every mode.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
     }
 
     /// Posterior of the **low-fidelity** function at `x` (raw low-fidelity
@@ -264,83 +264,31 @@ impl MfGp {
 
     /// Posterior of the **high-fidelity** function at `x` (raw units),
     /// with low-fidelity uncertainty propagated by stratified Monte-Carlo
-    /// over eq. (10).
+    /// over eq. (10). Bit-identical to [`MfGp::predict_batch`] on `[x]`,
+    /// and counted the same way: one low point plus one high row per
+    /// stratum.
     pub fn predict(&self, x: &[f64]) -> Prediction {
-        let (m, v) = self
-            .predict_batch_standardized(std::slice::from_ref(&x.to_vec()))
-            .pop()
-            .expect("one query yields one prediction");
+        mfbo_telemetry::counter!("predict_batch_points", 1u64);
+        let (ml, vl) = self.low.predict_standardized(x);
+        let (m, v) = self.propagate(x, ml, vl);
         self.destandardize(m, v)
     }
 
     /// Batched propagated high-fidelity posterior in standardized output
     /// space: one `(mean, var)` pair per query, bit-identical to calling
-    /// the pointwise path per point.
-    ///
-    /// The stratified Monte-Carlo rows of *all* queries (paper eq. 10) go
-    /// through [`Gp::predict_batch_standardized`] in one sweep — for `M`
-    /// queries and `S` samples the low GP is queried once with `M` points
-    /// and the high GP once with up to `M·S` rows, instead of `M·(S+1)`
-    /// pointwise posteriors. The moment-matching reduction stays in sample
-    /// order per query.
+    /// the pointwise path per point. The low GP sees all `M` queries in one
+    /// batch; each query's strata then go through the factored eq. (10)
+    /// path, [`Gp::predict_strata_standardized`].
     pub fn predict_batch_standardized(&self, points: &[Vec<f64>]) -> Vec<(f64, f64)> {
         if points.is_empty() {
             return Vec::new();
         }
-        let s = self.mc_samples;
         let lows = self.low.predict_batch_standardized(points);
-
-        // Build the augmented high-GP rows for every query: one plug-in row
-        // when the low posterior is effectively deterministic, otherwise S
-        // stratified quantile rows fl_k = μ + σ Φ⁻¹((k+½)/S).
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(points.len());
-        let mut counts: Vec<usize> = Vec::with_capacity(points.len());
-        for (x, &(ml, vl)) in points.iter().zip(&lows) {
-            let sl = vl.max(0.0).sqrt();
-            let mut z = x.clone();
-            z.push(0.0);
-            let last = z.len() - 1;
-            if s == 1 || sl < 1e-12 {
-                z[last] = ml;
-                rows.push(z);
-                counts.push(1);
-            } else {
-                for k in 0..s {
-                    let q = (k as f64 + 0.5) / s as f64;
-                    let mut zk = z.clone();
-                    zk[last] = ml + sl * norm_inv_cdf(q);
-                    rows.push(zk);
-                }
-                counts.push(s);
-            }
-        }
-        let highs = self.high_batch_pooled(&rows);
-
-        // Moment-match each query's sample block in order (law of total
-        // variance: E[σ²] + Var[μ]).
-        let mut out = Vec::with_capacity(points.len());
-        let mut offset = 0;
-        for &c in &counts {
-            let samples = &highs[offset..offset + c];
-            offset += c;
-            if c == 1 {
-                out.push(samples[0]);
-                continue;
-            }
-            let mut means = Vec::with_capacity(c);
-            let mut mean_sum = 0.0;
-            let mut var_sum = 0.0;
-            for &(m, v) in samples {
-                mean_sum += m;
-                var_sum += v;
-                means.push(m);
-            }
-            let mean = mean_sum / c as f64;
-            let var_of_means =
-                means.iter().map(|m| (m - mean) * (m - mean)).sum::<f64>() / c as f64;
-            out.push((mean, var_sum / c as f64 + var_of_means));
-        }
-        out
+        points
+            .iter()
+            .zip(lows)
+            .map(|(x, (ml, vl))| self.propagate(x, ml, vl))
+            .collect()
     }
 
     /// Batched [`MfGp::predict`]: propagated raw-unit posteriors for a set
@@ -352,23 +300,31 @@ impl MfGp {
             .collect()
     }
 
-    /// Runs one batched high-GP posterior sweep, split into contiguous
-    /// chunks across the pool. Each query row is independent in
-    /// [`Gp::predict_batch_standardized`], so chunking preserves bit
-    /// identity while keeping multi-worker modes busy.
-    fn high_batch_pooled(&self, rows: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        let workers = self.parallelism.workers();
-        if workers <= 1 || rows.len() < 2 {
-            return self.high.predict_batch_standardized(rows);
+    /// Eq. (10) at `x` given the low posterior `(ml, vl)` there: one plug-in
+    /// row when the low posterior is effectively deterministic, otherwise S
+    /// stratified quantile rows `f_k = μ + σ Φ⁻¹((k+½)/S)`, moment-matched
+    /// in sample order (law of total variance: E[σ²] + Var[μ]).
+    fn propagate(&self, x: &[f64], ml: f64, vl: f64) -> (f64, f64) {
+        let sl = vl.max(0.0).sqrt();
+        if self.quantiles.len() == 1 || sl < 1e-12 {
+            return self.high.predict_strata_standardized(x, &[ml])[0];
         }
-        let chunk = rows.len().div_ceil(workers);
-        let chunks: Vec<&[Vec<f64>]> = rows.chunks(chunk).collect();
-        par_map_indexed(self.parallelism, chunks.len(), |i| {
-            self.high.predict_batch_standardized(chunks[i])
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        let strata: Vec<f64> = self.quantiles.iter().map(|&z| ml + sl * z).collect();
+        let samples = self.high.predict_strata_standardized(x, &strata);
+        let c = samples.len();
+        let mut mean_sum = 0.0;
+        let mut var_sum = 0.0;
+        for &(m, v) in &samples {
+            mean_sum += m;
+            var_sum += v;
+        }
+        let mean = mean_sum / c as f64;
+        let var_of_means = samples
+            .iter()
+            .map(|&(m, _)| (m - mean) * (m - mean))
+            .sum::<f64>()
+            / c as f64;
+        (mean, var_sum / c as f64 + var_of_means)
     }
 
     /// Appends one raw observation at `fidelity` by rank-one-extending the
@@ -434,7 +390,7 @@ impl MfGp {
 
     /// Number of Monte-Carlo propagation samples.
     pub fn mc_samples(&self) -> usize {
-        self.mc_samples
+        self.quantiles.len()
     }
 
     /// Best (minimum) raw observation at each fidelity:
@@ -586,12 +542,7 @@ impl MfGp {
             inference,
             parallelism,
         )?;
-        Ok(MfGp {
-            low,
-            high,
-            mc_samples: mc_samples.max(1),
-            parallelism: Parallelism::Serial,
-        })
+        Ok(MfGp::new(low, high, mc_samples))
     }
 }
 
@@ -857,21 +808,59 @@ mod tests {
         assert!(model.predict_batch(&[]).is_empty());
     }
 
-    #[test]
-    fn batched_prediction_bit_identical_across_parallelism_modes() {
-        // The pooled chunked sweep must agree with the serial batch.
-        let model = pedagogical_model(30, 10, 14);
-        let queries: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64 / 6.0]).collect();
-        let serial = model.clone().with_parallelism(Parallelism::Serial);
-        let threaded = model.with_parallelism(Parallelism::Threads(3));
-        for (a, b) in serial
-            .predict_batch_standardized(&queries)
+    /// Sum of the `predict_batch_points` counter emitted while `f` runs.
+    fn predict_points_counted(f: impl FnOnce()) -> u64 {
+        use mfbo_telemetry::{sinks::CollectSink, Level, Value};
+        let sink = std::sync::Arc::new(CollectSink::with_level(Level::Debug));
+        let guard = mfbo_telemetry::scoped_sink(sink.clone());
+        f();
+        drop(guard);
+        sink.named("predict_batch_points")
             .iter()
-            .zip(&threaded.predict_batch_standardized(&queries))
-        {
-            assert_eq!(a.0.to_bits(), b.0.to_bits());
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
+            .map(|r| match r.field("value") {
+                Some(Value::U64(v)) => *v,
+                other => panic!("unexpected counter payload {other:?}"),
+            })
+            .sum()
+    }
+
+    #[test]
+    fn predict_counts_one_low_point_plus_one_high_row_per_stratum() {
+        // The counter behind the report's `predict_batch_points` total: a
+        // single query counts as a one-point batch would, 1 low point plus
+        // S stratified high rows (one plug-in row at S = 1).
+        let model = pedagogical_model(20, 8, 3);
+        let x = [0.137];
+        assert!(model.low_variance_standardized(&x).sqrt() >= 1e-12);
+        let s = model.mc_samples() as u64;
+        assert_eq!(
+            predict_points_counted(|| {
+                model.predict(&x);
+            }),
+            1 + s
+        );
+        let queries = vec![x.to_vec(), vec![0.61]];
+        assert_eq!(
+            predict_points_counted(|| {
+                model.predict_batch(&queries);
+            }),
+            2 * (1 + s)
+        );
+        let plug_in = MfGp::fit_frozen(
+            model.low().xs().to_vec(),
+            model.low().ys_raw().to_vec(),
+            model.high().xs().iter().map(|z| z[..1].to_vec()).collect(),
+            model.high().ys_raw().to_vec(),
+            &model.thetas(),
+            1,
+        )
+        .unwrap();
+        assert_eq!(
+            predict_points_counted(|| {
+                plug_in.predict(&x);
+            }),
+            2
+        );
     }
 
     #[test]

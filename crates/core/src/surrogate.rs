@@ -367,7 +367,6 @@ impl MfSurrogates {
                 Parallelism::Serial,
                 Some(batch),
             )
-            .map(|m| m.with_parallelism(parallelism))
         });
         let mut models = fitted.into_iter();
         let objective = models.next().expect("bundle contains the objective")?;

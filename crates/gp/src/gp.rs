@@ -1,6 +1,6 @@
 //! Gaussian-process regression model: training and posterior prediction.
 
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, NargpKernel};
 use crate::nlml::{kernel_matrix_cached, nlml_with_grad_cached, NlmlWorkspace};
 use crate::workspace::DiffBatch;
 use crate::GpError;
@@ -787,29 +787,34 @@ impl<K: Kernel> Gp<K> {
     pub fn predict_standardized(&self, x: &[f64]) -> (f64, f64) {
         assert_eq!(x.len(), self.kernel.input_dim(), "query dimension mismatch");
         let n = self.xs.len();
-        let mut kstar = vec![0.0; n];
-        for (ks, xi) in kstar.iter_mut().zip(&self.xs) {
-            *ks = self.kernel.eval(&self.params, x, xi);
-        }
-        let mean = mfbo_linalg::dot(&kstar, &self.alpha);
-        let kss = self.kernel.eval(&self.params, x, x);
-        let var = match &self.iter_state {
-            None => {
-                let v = self.chol.forward_solve(&kstar);
-                (kss - mfbo_linalg::dot(&v, &v)).max(0.0)
-            }
+        let mut scratch = vec![0.0; 2 * n];
+        let (kstar, v) = scratch.split_at_mut(n);
+        let kss = self.kernel.eval_row(&self.params, x, &self.xs, kstar);
+        self.posterior_from_row(kstar, kss, v)
+    }
+
+    /// The pointwise posterior `(mean, var)` of one query from its
+    /// cross-covariance row `kstar` and prior variance `kss`; `v` is a
+    /// scratch row of the training-set length.
+    fn posterior_from_row(&self, kstar: &mut [f64], kss: f64, v: &mut [f64]) -> (f64, f64) {
+        let mean = mfbo_linalg::dot(kstar, &self.alpha);
+        let v = &mut v[..self.chol.dim()];
+        match &self.iter_state {
+            None => self.chol.forward_solve_into(kstar, v),
             Some(st) => {
                 // Iterative inference: the mean above already used the
                 // full-data CG alpha; the variance comes from the subset
                 // model, whose cross-covariances are a gather of the full
                 // kstar row (subset variances upper-bound the exact ones —
                 // dropping conditioning data can only widen the posterior).
-                let ksub: Vec<f64> = st.subset.iter().map(|&i| kstar[i]).collect();
-                let v = self.chol.forward_solve(&ksub);
-                (kss - mfbo_linalg::dot(&v, &v)).max(0.0)
+                // The subset indices ascend, so the gather can run in place.
+                for (j, &i) in st.subset.iter().enumerate() {
+                    kstar[j] = kstar[i];
+                }
+                self.chol.forward_solve_into(&kstar[..v.len()], v);
             }
-        };
-        (mean, var)
+        }
+        (mean, (kss - mfbo_linalg::dot(v, v)).max(0.0))
     }
 
     /// Batched [`Gp::predict_standardized`]: one `(mean, var)` pair per
@@ -1174,6 +1179,45 @@ impl<K: Kernel> Gp<K> {
     /// Whether the training set is empty (never true for a constructed GP).
     pub fn is_empty(&self) -> bool {
         self.xs.is_empty()
+    }
+}
+
+impl Gp<NargpKernel> {
+    /// Posterior `(mean, var)` in standardized space of the augmented
+    /// queries `(x, f)`, one pair per `f` in `strata`, in order — the
+    /// stratified rows of paper eq. (10). Bit-identical to
+    /// [`Gp::predict_standardized`] (and so to the batch path) on each
+    /// explicitly built row `(x, f)`.
+    ///
+    /// Every row shares the design point `x`, so the design-space factors
+    /// `k2(x, x_i)` and `k3(x, x_i)` are evaluated once per training row and
+    /// only `k1(f, f_i)` per stratum (see [`NargpKernel::factor_design`]):
+    /// S + 2 instead of 3S exponentials per training row, and one prior
+    /// variance per call. Each row then runs the pointwise mean, forward
+    /// solve and variance. Counts `strata.len()` `predict_batch_points`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the kernel's design dimension.
+    pub fn predict_strata_standardized(&self, x: &[f64], strata: &[f64]) -> Vec<(f64, f64)> {
+        mfbo_telemetry::counter!("predict_batch_points", strata.len() as u64);
+        let n = self.xs.len();
+        let d = self.kernel.design_dim();
+        let mut scratch = vec![0.0; 4 * n];
+        let (k2, rest) = scratch.split_at_mut(n);
+        let (k3, rest) = rest.split_at_mut(n);
+        let (kstar, v) = rest.split_at_mut(n);
+        let factors = self.kernel.factor_design(&self.params, x, &self.xs, k2, k3);
+        let kss = factors.prior();
+        strata
+            .iter()
+            .map(|&f| {
+                for (((ks, z), &a), &b) in kstar.iter_mut().zip(&self.xs).zip(&*k2).zip(&*k3) {
+                    *ks = factors.eval(f, z[d], a, b);
+                }
+                self.posterior_from_row(kstar, kss, v)
+            })
+            .collect()
     }
 }
 

@@ -55,6 +55,26 @@ pub trait Kernel: Debug + Clone + Send + Sync {
         }
     }
 
+    /// Evaluates the cross-covariance row `out[i] = k(x, rows[i])` of one
+    /// query and returns its prior variance `k(x, x)` — the kernel work of a
+    /// single-query posterior.
+    ///
+    /// The contract is the one of [`Kernel::eval_from_diffs`]: bit-identity
+    /// with [`Kernel::eval`] on each pair, so overrides may only hoist
+    /// parameter transforms out of the row loop. The default makes the
+    /// per-pair calls.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if `out.len() != rows.len()`.
+    fn eval_row(&self, p: &[f64], x: &[f64], rows: &[Vec<f64>], out: &mut [f64]) -> f64 {
+        debug_assert_eq!(out.len(), rows.len());
+        for (o, r) in out.iter_mut().zip(rows) {
+            *o = self.eval(p, x, r);
+        }
+        self.eval(p, x, x)
+    }
+
     /// Accumulates the weighted parameter gradient over every pair of a
     /// difference workspace: `acc[j] += weights[q] · ∂k_q/∂p_j`, pairs in
     /// order, parameters innermost — the exact accumulation the NLML
@@ -113,6 +133,24 @@ pub trait Kernel: Debug + Clone + Send + Sync {
     fn param_bounds(&self) -> (Vec<f64>, Vec<f64>);
 }
 
+/// `exp(-log ℓ_i)` for each log-lengthscale.
+fn inv_lengthscales(log_l: &[f64]) -> Vec<f64> {
+    log_l.iter().map(|&l| (-l).exp()).collect()
+}
+
+/// One squared-exponential value from hoisted transforms: the exact
+/// per-pair sequence of [`SquaredExponential::eval`] (signed difference ×
+/// `inv_l`, squared, accumulated from `0.0` in dimension order).
+#[inline]
+fn se_pair(sf2: f64, inv_l: &[f64], a: &[f64], b: &[f64]) -> f64 {
+    let mut q = 0.0;
+    for ((ai, bi), li) in a.iter().zip(b).zip(inv_l) {
+        let z = (ai - bi) * li;
+        q += z * z;
+    }
+    sf2 * (-0.5 * q).exp()
+}
+
 /// Squared-exponential (RBF) kernel with automatic relevance determination:
 /// `k(a,b) = σ_f² exp(-½ Σ_i (a_i-b_i)²/ℓ_i²)` — paper eq. (2).
 ///
@@ -165,6 +203,19 @@ impl Kernel for SquaredExponential {
         sf2 * (-0.5 * q).exp()
     }
 
+    fn eval_row(&self, p: &[f64], x: &[f64], rows: &[Vec<f64>], out: &mut [f64]) -> f64 {
+        debug_assert_eq!(out.len(), rows.len());
+        debug_assert_eq!(x.len(), self.dim);
+        // The d + 1 parameter transforms once per row instead of per pair;
+        // `se_pair` is `eval`'s per-pair sequence.
+        let sf2 = (2.0 * p[0]).exp();
+        let inv_l = inv_lengthscales(&p[1..1 + self.dim]);
+        for (o, r) in out.iter_mut().zip(rows) {
+            *o = se_pair(sf2, &inv_l, x, r);
+        }
+        se_pair(sf2, &inv_l, x, x)
+    }
+
     fn eval_grad(&self, p: &[f64], a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
         debug_assert_eq!(grad.len(), self.num_params());
         let sf2 = (2.0 * p[0]).exp();
@@ -193,7 +244,7 @@ impl Kernel for SquaredExponential {
         // `eval` (signed difference × inv_l, squared, accumulated in
         // dimension order), so values are bit-identical.
         let sf2 = (2.0 * p[0]).exp();
-        let inv_l: Vec<f64> = p[1..1 + self.dim].iter().map(|&l| (-l).exp()).collect();
+        let inv_l = inv_lengthscales(&p[1..1 + self.dim]);
         if let Some((be, rows)) = batch.simd_rows() {
             // Vectorized across pairs: `sq_norm` fills `out` with the exact
             // `q` each scalar pair iteration would accumulate (ascending
@@ -220,7 +271,7 @@ impl Kernel for SquaredExponential {
         debug_assert_eq!(acc.len(), self.num_params());
         debug_assert_eq!(batch.dim(), self.dim);
         let sf2 = (2.0 * p[0]).exp();
-        let inv_l: Vec<f64> = p[1..1 + self.dim].iter().map(|&l| (-l).exp()).collect();
+        let inv_l = inv_lengthscales(&p[1..1 + self.dim]);
         // One scratch for the whole batch instead of `eval_grad`'s
         // per-pair allocation.
         let mut z2 = vec![0.0; self.dim];
@@ -272,7 +323,7 @@ impl Kernel for SquaredExponential {
         // `k z_i²`), and `values[q]` is the bit-exact `k` the pair loop of
         // `grad_from_diffs` would recompute — so the per-pair `exp`
         // disappears and only the `z_i²` products remain.
-        let inv_l: Vec<f64> = p[1..1 + self.dim].iter().map(|&l| (-l).exp()).collect();
+        let inv_l = inv_lengthscales(&p[1..1 + self.dim]);
         if let Some((be, _)) = batch.simd_rows() {
             let (acc0, accl) = acc.split_at_mut(1);
             for ((d, &w), &k) in batch
@@ -396,7 +447,7 @@ impl Kernel for Matern52 {
         debug_assert_eq!(out.len(), batch.len());
         debug_assert_eq!(batch.dim(), self.dim);
         let sf2 = (2.0 * p[0]).exp();
-        let inv_l: Vec<f64> = p[1..1 + self.dim].iter().map(|&l| (-l).exp()).collect();
+        let inv_l = inv_lengthscales(&p[1..1 + self.dim]);
         if let Some((be, rows)) = batch.simd_rows() {
             // `sq_norm` reproduces each pair's `q` bit for bit; the √·/exp
             // finish is per entry in both paths.
@@ -426,7 +477,7 @@ impl Kernel for Matern52 {
         debug_assert_eq!(acc.len(), self.num_params());
         debug_assert_eq!(batch.dim(), self.dim);
         let sf2 = (2.0 * p[0]).exp();
-        let inv_l: Vec<f64> = p[1..1 + self.dim].iter().map(|&l| (-l).exp()).collect();
+        let inv_l = inv_lengthscales(&p[1..1 + self.dim]);
         let sqrt5 = 5.0f64.sqrt();
         let mut z2 = vec![0.0; self.dim];
         for (d, &w) in batch.diffs().chunks_exact(self.dim).zip(weights.iter()) {
@@ -518,6 +569,74 @@ impl NargpKernel {
         debug_assert_eq!(p.len(), n1 + n2 + n3);
         (&p[..n1], &p[n1..n1 + n2], &p[n1 + n2..])
     }
+
+    /// Factors eq. (9) for augmented queries `(x, f)` that share the design
+    /// point `x` — the stratified rows of eq. (10). Writes the design-space
+    /// factors `k2(x, x_i)` and `k3(x, x_i)` of every augmented training row
+    /// into `k2[i]` and `k3[i]`; the returned [`NargpFactors`] then costs
+    /// one `k1` exponential per row and fidelity value.
+    ///
+    /// Every value keeps [`Kernel::eval`]'s per-pair sequence: the SE
+    /// factors are bit-equal to the component evaluations, and
+    /// [`NargpFactors::eval`] combines them as `k1·k2 + k3`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from [`NargpKernel::design_dim`] or the
+    /// output slices from `rows.len()`.
+    pub fn factor_design(
+        &self,
+        p: &[f64],
+        x: &[f64],
+        rows: &[Vec<f64>],
+        k2: &mut [f64],
+        k3: &mut [f64],
+    ) -> NargpFactors {
+        let d = self.design_dim;
+        assert_eq!(x.len(), d, "design point dimension mismatch");
+        assert!(k2.len() == rows.len() && k3.len() == rows.len());
+        let (p1, p2, p3) = self.split(p);
+        let sf2_2 = (2.0 * p2[0]).exp();
+        let inv_l2 = inv_lengthscales(&p2[1..]);
+        let sf2_3 = (2.0 * p3[0]).exp();
+        let inv_l3 = inv_lengthscales(&p3[1..]);
+        for ((r, a), b) in rows.iter().zip(k2.iter_mut()).zip(k3.iter_mut()) {
+            *a = se_pair(sf2_2, &inv_l2, x, &r[..d]);
+            *b = se_pair(sf2_3, &inv_l3, x, &r[..d]);
+        }
+        NargpFactors {
+            sf2_1: (2.0 * p1[0]).exp(),
+            inv_l1: (-p1[1]).exp(),
+            k2_self: se_pair(sf2_2, &inv_l2, x, x),
+            k3_self: se_pair(sf2_3, &inv_l3, x, x),
+        }
+    }
+}
+
+/// The fidelity-channel half of [`NargpKernel::factor_design`]: the `k1`
+/// transforms and the design point's own factors `k2(x, x)`, `k3(x, x)`.
+#[derive(Debug, Clone, Copy)]
+pub struct NargpFactors {
+    sf2_1: f64,
+    inv_l1: f64,
+    k2_self: f64,
+    k3_self: f64,
+}
+
+impl NargpFactors {
+    /// `k((x, f), (x_i, f_i))` from training row `i`'s design factors
+    /// `k2 = k2(x, x_i)` and `k3 = k3(x, x_i)`.
+    #[inline]
+    pub fn eval(&self, f: f64, f_i: f64, k2: f64, k3: f64) -> f64 {
+        let zf = (f - f_i) * self.inv_l1;
+        self.sf2_1 * (-0.5 * (zf * zf)).exp() * k2 + k3
+    }
+
+    /// The prior variance `k((x, f), (x, f))`. It does not depend on `f`:
+    /// for finite `f` the fidelity difference `f − f` is exactly `+0.0`.
+    pub fn prior(&self) -> f64 {
+        self.eval(0.0, 0.0, self.k2_self, self.k3_self)
+    }
 }
 
 impl Kernel for NargpKernel {
@@ -575,9 +694,9 @@ impl Kernel for NargpKernel {
         let sf2_1 = (2.0 * p1[0]).exp();
         let inv_l1 = (-p1[1]).exp();
         let sf2_2 = (2.0 * p2[0]).exp();
-        let inv_l2: Vec<f64> = p2[1..1 + d].iter().map(|&l| (-l).exp()).collect();
+        let inv_l2 = inv_lengthscales(&p2[1..1 + d]);
         let sf2_3 = (2.0 * p3[0]).exp();
-        let inv_l3: Vec<f64> = p3[1..1 + d].iter().map(|&l| (-l).exp()).collect();
+        let inv_l3 = inv_lengthscales(&p3[1..1 + d]);
         if let Some((be, rows)) = batch.simd_rows() {
             // Dim-major rows split cleanly into the design-space block
             // (dimensions 0..d) and the fidelity channel (dimension d), so
@@ -633,9 +752,9 @@ impl Kernel for NargpKernel {
         let sf2_1 = (2.0 * p1[0]).exp();
         let inv_l1 = (-p1[1]).exp();
         let sf2_2 = (2.0 * p2[0]).exp();
-        let inv_l2: Vec<f64> = p2[1..1 + d].iter().map(|&l| (-l).exp()).collect();
+        let inv_l2 = inv_lengthscales(&p2[1..1 + d]);
         let sf2_3 = (2.0 * p3[0]).exp();
-        let inv_l3: Vec<f64> = p3[1..1 + d].iter().map(|&l| (-l).exp()).collect();
+        let inv_l3 = inv_lengthscales(&p3[1..1 + d]);
         let mut z2_2 = vec![0.0; d];
         let mut z2_3 = vec![0.0; d];
         if let Some((be, _)) = batch.simd_rows() {

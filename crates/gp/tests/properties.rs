@@ -170,6 +170,72 @@ mod bit_identity {
         Ok(())
     }
 
+    /// `K` with only the required methods: every batch and row hook falls
+    /// back to the per-pair [`Kernel::eval`] defaults.
+    #[derive(Debug, Clone)]
+    struct PerPair<K>(K);
+
+    impl<K: Kernel> Kernel for PerPair<K> {
+        fn input_dim(&self) -> usize {
+            self.0.input_dim()
+        }
+        fn num_params(&self) -> usize {
+            self.0.num_params()
+        }
+        fn eval(&self, p: &[f64], a: &[f64], b: &[f64]) -> f64 {
+            self.0.eval(p, a, b)
+        }
+        fn eval_grad(&self, p: &[f64], a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
+            self.0.eval_grad(p, a, b, grad)
+        }
+        fn default_params(&self) -> Vec<f64> {
+            self.0.default_params()
+        }
+        fn param_bounds(&self) -> (Vec<f64>, Vec<f64>) {
+            self.0.param_bounds()
+        }
+    }
+
+    /// `Gp::predict_standardized` under `kernel` against the same frozen
+    /// model built over [`PerPair`], query by query, bit for bit.
+    fn check_per_pair<K: Kernel>(
+        kernel: K,
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        theta: &[f64],
+        inference: mfbo_gp::InferenceMode,
+        queries: &[Vec<f64>],
+    ) -> Result<(), TestCaseError> {
+        fn build<K: Kernel>(
+            k: K,
+            xs: &[Vec<f64>],
+            ys: &[f64],
+            theta: &[f64],
+            inference: mfbo_gp::InferenceMode,
+        ) -> Gp<K> {
+            Gp::with_params_inference(
+                k,
+                xs.to_vec(),
+                ys.to_vec(),
+                theta.to_vec(),
+                -2.5,
+                true,
+                inference,
+                mfbo_pool::Parallelism::Serial,
+            )
+            .unwrap()
+        }
+        let fast = build(kernel.clone(), xs, ys, theta, inference);
+        let reference = build(PerPair(kernel), xs, ys, theta, inference);
+        for q in queries.iter().chain(xs.iter().take(2)) {
+            let (fm, fv) = fast.predict_standardized(q);
+            let (rm, rv) = reference.predict_standardized(q);
+            prop_assert_eq!(fm.to_bits(), rm.to_bits());
+            prop_assert_eq!(fv.to_bits(), rv.to_bits());
+        }
+        Ok(())
+    }
+
     fn check_nlml_cached<K: Kernel>(
         kernel: &K,
         theta: &[f64],
@@ -363,6 +429,95 @@ mod bit_identity {
             let nargp = NargpKernel::new(2);
             let theta = nargp.default_params();
             check_kernel_backend_invisible(&nargp, &theta, &xs)?;
+        }
+
+        /// The factored eq. (10) path must reproduce the generic batch path
+        /// on explicitly built augmented rows `(x, f_k)`: random NARGP
+        /// models, S ∈ {1, 12, 20} stratified values, a plug-in query at a
+        /// training input (near-zero posterior variance), and an
+        /// iterative-engine model whose variance comes from the subset
+        /// factor.
+        #[test]
+        fn nargp_strata_bit_identical_to_explicit_rows(
+            xs in points(14, 3),
+            theta in prop::collection::vec(-1.5f64..0.5, 8),
+            design in points(1, 2),
+            mu in -1.0f64..2.0,
+            sigma in 0.0f64..1.0,
+        ) {
+            use mfbo_gp::InferenceMode;
+            use mfbo_pool::Parallelism;
+            let ys: Vec<f64> = xs.iter().map(|z| z[0] - z[1] * z[2]).collect();
+            let fit = |mode| {
+                Gp::with_params_inference(
+                    NargpKernel::new(2),
+                    xs.clone(),
+                    ys.clone(),
+                    theta.clone(),
+                    -3.0,
+                    true,
+                    mode,
+                    Parallelism::Serial,
+                )
+                .unwrap()
+            };
+            let models = [
+                fit(InferenceMode::Exact),
+                fit(InferenceMode::Iterative { subset: 8, max_iters: 64 }),
+            ];
+            let x = &design[0];
+            let mut cases: Vec<(Vec<f64>, Vec<f64>)> = [1usize, 12, 20]
+                .iter()
+                .map(|&s| {
+                    let strata = (0..s)
+                        .map(|k| mu + sigma * mfbo_linalg::norm_inv_cdf((k as f64 + 0.5) / s as f64))
+                        .collect();
+                    (x.clone(), strata)
+                })
+                .collect();
+            cases.push((xs[3][..2].to_vec(), vec![xs[3][2]]));
+            for gp in &models {
+                for (x, strata) in &cases {
+                    let rows: Vec<Vec<f64>> = strata
+                        .iter()
+                        .map(|&f| {
+                            let mut z = x.clone();
+                            z.push(f);
+                            z
+                        })
+                        .collect();
+                    let reference = gp.predict_batch_standardized(&rows);
+                    let factored = gp.predict_strata_standardized(x, strata);
+                    prop_assert_eq!(factored.len(), reference.len());
+                    for ((fm, fv), (rm, rv)) in factored.iter().zip(&reference) {
+                        prop_assert_eq!(fm.to_bits(), rm.to_bits());
+                        prop_assert_eq!(fv.to_bits(), rv.to_bits());
+                    }
+                }
+            }
+        }
+
+        /// The hoisted single-query posterior must reproduce the per-pair
+        /// `Kernel::eval` path bit for bit: the same model built over a
+        /// wrapper kernel that keeps every default hook is the reference.
+        #[test]
+        fn predict_standardized_bit_identical_to_per_pair_eval(
+            xs in points(16, 3),
+            queries in points(4, 3),
+            logl in -1.0f64..0.5,
+        ) {
+            use mfbo_gp::InferenceMode;
+            let design: Vec<Vec<f64>> = xs.iter().map(|z| z[..2].to_vec()).collect();
+            let dq: Vec<Vec<f64>> = queries.iter().map(|z| z[..2].to_vec()).collect();
+            let ys: Vec<f64> = xs.iter().map(|z| (3.0 * z[0]).sin() + z[1] * z[2]).collect();
+            let se = [0.1, logl, logl];
+            check_per_pair(SquaredExponential::new(2), &design, &ys, &se, InferenceMode::Exact, &dq)?;
+            check_per_pair(Matern52::new(2), &design, &ys, &se, InferenceMode::Exact, &dq)?;
+            let nargp = NargpKernel::new(2);
+            let theta = nargp.default_params();
+            check_per_pair(nargp, &xs, &ys, &theta, InferenceMode::Exact, &queries)?;
+            let iterative = InferenceMode::Iterative { subset: 8, max_iters: 64 };
+            check_per_pair(SquaredExponential::new(2), &design, &ys, &se, iterative, &dq)?;
         }
 
         #[test]
