@@ -49,6 +49,8 @@ impl<L: Kernel, R: Kernel> SumKernel<L, R> {
 }
 
 impl<L: Kernel, R: Kernel> Kernel for SumKernel<L, R> {
+    type PairRecord = ();
+
     fn input_dim(&self) -> usize {
         self.left.input_dim()
     }
@@ -109,6 +111,8 @@ impl<L: Kernel, R: Kernel> ProductKernel<L, R> {
 }
 
 impl<L: Kernel, R: Kernel> Kernel for ProductKernel<L, R> {
+    type PairRecord = ();
+
     fn input_dim(&self) -> usize {
         self.left.input_dim()
     }

@@ -885,7 +885,6 @@ impl<K: Kernel> Gp<K> {
         let mut kv = vec![0.0; tile_len * n];
         let mut kss = vec![0.0; tile_len];
         let mut v = vec![0.0; n];
-        let mut bi = vec![0.0; n * lanes];
         let mut vi = vec![0.0; n * lanes];
         let mut out = Vec::with_capacity(points.len());
         for tile in points.chunks(tile_len) {
@@ -915,11 +914,11 @@ impl<K: Kernel> Gp<K> {
                 // 0.0 start) as `dot(&v, &v)` on the de-interleaved vector.
                 while q + lanes <= m {
                     for i in 0..n {
-                        for (c, slot) in bi[i * lanes..(i + 1) * lanes].iter_mut().enumerate() {
+                        for (c, slot) in vi[i * lanes..(i + 1) * lanes].iter_mut().enumerate() {
                             *slot = kv[(q + c) * n + i];
                         }
                     }
-                    self.chol.forward_solve_interleaved_into(be, &bi, &mut vi);
+                    self.chol.forward_solve_interleaved(be, 0, &mut vi);
                     for c in 0..lanes {
                         let kstar = &kv[(q + c) * n..(q + c + 1) * n];
                         let mean = mfbo_linalg::dot(kstar, &self.alpha);
@@ -1182,6 +1181,10 @@ impl<K: Kernel> Gp<K> {
     }
 }
 
+/// Scratch of one [`Gp::predict_strata_standardized`] call that lives on
+/// the stack (in `f64`s); larger training sets take one heap buffer.
+const STRATA_STACK: usize = 512;
+
 impl Gp<NargpKernel> {
     /// Posterior `(mean, var)` in standardized space of the augmented
     /// queries `(x, f)`, one pair per `f` in `strata`, in order — the
@@ -1193,8 +1196,21 @@ impl Gp<NargpKernel> {
     /// `k2(x, x_i)` and `k3(x, x_i)` are evaluated once per training row and
     /// only `k1(f, f_i)` per stratum (see [`NargpKernel::factor_design`]):
     /// S + 2 instead of 3S exponentials per training row, and one prior
-    /// variance per call. Each row then runs the pointwise mean, forward
-    /// solve and variance. Counts `strata.len()` `predict_batch_points`.
+    /// variance per call.
+    ///
+    /// The strata then go through the posterior in groups of
+    /// [`mfbo_simd::Backend::lanes`]: the group's cross-covariance rows are
+    /// laid out lane-interleaved, and one multi-RHS forward solve
+    /// ([`Cholesky::forward_solve_interleaved`]) advances every stratum's
+    /// `s -= l·v` chain per instruction. Each lane keeps the single-query
+    /// operation sequence of [`Gp::predict_standardized`]: the mean and
+    /// `v·v` run in ascending order from `-0.0`, as
+    /// [`mfbo_linalg::dot`]'s `.sum()` does, and under iterative inference
+    /// every lane is gathered to the subset after its mean, as there. A
+    /// lane past the last stratum solves a zero row and is dropped. Counts
+    /// `strata.len()` `predict_batch_points`. The scratch, `n·(2 + lanes)`
+    /// values, sits on the stack up to 512 values, so at the paper's
+    /// training-set sizes a call allocates nothing but the returned `Vec`.
     ///
     /// # Panics
     ///
@@ -1203,21 +1219,56 @@ impl Gp<NargpKernel> {
         mfbo_telemetry::counter!("predict_batch_points", strata.len() as u64);
         let n = self.xs.len();
         let d = self.kernel.design_dim();
-        let mut scratch = vec![0.0; 4 * n];
+        let be = mfbo_simd::active();
+        let lanes = be.lanes();
+        let need = n * (2 + lanes);
+        let mut stack = [0.0; STRATA_STACK];
+        let mut heap = Vec::new();
+        let scratch = if need <= STRATA_STACK {
+            &mut stack[..need]
+        } else {
+            heap.resize(need, 0.0);
+            &mut heap[..]
+        };
         let (k2, rest) = scratch.split_at_mut(n);
-        let (k3, rest) = rest.split_at_mut(n);
-        let (kstar, v) = rest.split_at_mut(n);
+        let (k3, ks) = rest.split_at_mut(n);
         let factors = self.kernel.factor_design(&self.params, x, &self.xs, k2, k3);
         let kss = factors.prior();
-        strata
-            .iter()
-            .map(|&f| {
-                for (((ks, z), &a), &b) in kstar.iter_mut().zip(&self.xs).zip(&*k2).zip(&*k3) {
-                    *ks = factors.eval(f, z[d], a, b);
+        let mut out = Vec::with_capacity(strata.len());
+        for group in strata.chunks(lanes) {
+            for (row, ((z, &a), &b)) in ks
+                .chunks_exact_mut(lanes)
+                .zip(self.xs.iter().zip(&*k2).zip(&*k3))
+            {
+                for (c, slot) in row.iter_mut().enumerate() {
+                    *slot = group.get(c).map_or(0.0, |&f| factors.eval(f, z[d], a, b));
                 }
-                self.posterior_from_row(kstar, kss, v)
-            })
-            .collect()
+            }
+            let mut mean = [-0.0; mfbo_simd::MAX_LANES];
+            for (row, &al) in ks.chunks_exact(lanes).zip(&self.alpha) {
+                for (m, &k) in mean.iter_mut().zip(row) {
+                    *m += k * al;
+                }
+            }
+            if let Some(st) = &self.iter_state {
+                // The subset indices ascend, so the gather runs in place.
+                for (j, &i) in st.subset.iter().enumerate() {
+                    ks.copy_within(i * lanes..(i + 1) * lanes, j * lanes);
+                }
+            }
+            let v = &mut ks[..self.chol.dim() * lanes];
+            self.chol.forward_solve_interleaved(be, 0, v);
+            let mut vv = [-0.0; mfbo_simd::MAX_LANES];
+            for row in v.chunks_exact(lanes) {
+                for (s, &vc) in vv.iter_mut().zip(row) {
+                    *s += vc * vc;
+                }
+            }
+            for c in 0..group.len() {
+                out.push((mean[c], (kss - vv[c]).max(0.0)));
+            }
+        }
+        out
     }
 }
 

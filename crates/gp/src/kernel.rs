@@ -17,6 +17,13 @@ use std::fmt::Debug;
 /// Implementors must be cheap to clone (they carry only shape information;
 /// the hyperparameters travel separately so the optimizer can own them).
 pub trait Kernel: Debug + Clone + Send + Sync {
+    /// What [`Kernel::eval_from_diffs_recorded`] leaves per pair for
+    /// [`Kernel::grad_from_diffs_with_values`] beyond the pair's value: the
+    /// intermediate results the gradient would otherwise recompute. Kernels
+    /// whose gradient factors through the value alone (squared-exponential)
+    /// or that recompute it anyway use `()`, which costs no storage.
+    type PairRecord: Copy + Default + Send + Sync;
+
     /// Input dimensionality the kernel expects.
     fn input_dim(&self) -> usize;
 
@@ -98,30 +105,57 @@ pub trait Kernel: Debug + Clone + Send + Sync {
         }
     }
 
-    /// [`Kernel::grad_from_diffs`] with the kernel values of the same batch
-    /// (as produced by [`Kernel::eval_from_diffs`] under the same `p`)
-    /// supplied by the caller. The NLML gradient always evaluates the kernel
-    /// matrix first, so kernels whose parameter gradient factors through the
-    /// kernel value (e.g. squared-exponential: `∂k/∂log σ_f = 2k`,
-    /// `∂k/∂log ℓ_i = k z_i²`) can skip the per-pair `exp` entirely. The
-    /// supplied value is the bit-exact `f64` the gradient path would have
-    /// recomputed, so overrides remain bit-identical. The default ignores
-    /// `values` and delegates to [`Kernel::grad_from_diffs`].
+    /// [`Kernel::eval_from_diffs`] that also writes one
+    /// [`Kernel::PairRecord`] per pair — the value pass of an NLML-with-
+    /// gradient evaluation, whose records [`Kernel::grad_from_diffs_with_values`]
+    /// then reads. The values are bit-identical to
+    /// [`Kernel::eval_from_diffs`]. The default writes no record.
     ///
     /// # Panics
     ///
-    /// Implementations may panic if `values.len() != batch.len()` or the
-    /// other slice lengths disagree as in [`Kernel::grad_from_diffs`].
+    /// Implementations may panic if `out.len()` or `records.len()` differs
+    /// from `batch.len()`.
+    fn eval_from_diffs_recorded(
+        &self,
+        p: &[f64],
+        batch: &DiffBatch<'_>,
+        out: &mut [f64],
+        records: &mut [Self::PairRecord],
+    ) {
+        debug_assert_eq!(records.len(), batch.len());
+        let _ = records;
+        self.eval_from_diffs(p, batch, out);
+    }
+
+    /// [`Kernel::grad_from_diffs`] with the per-pair results of the value
+    /// pass over the same batch under the same `p` — the kernel `values`
+    /// and the `records` of [`Kernel::eval_from_diffs_recorded`] — supplied
+    /// by the caller. The NLML gradient always evaluates the kernel matrix
+    /// first, so a kernel whose parameter gradient factors through what the
+    /// value pass computed can skip the per-pair `exp` calls entirely:
+    /// squared-exponential reads its value (`∂k/∂log σ_f = 2k`,
+    /// `∂k/∂log ℓ_i = k z_i²`), the NARGP kernel its three component values.
+    /// The supplied values are the bit-exact `f64`s the gradient path would
+    /// have recomputed, so overrides remain bit-identical. The default
+    /// ignores both and delegates to [`Kernel::grad_from_diffs`].
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if `values.len()` or `records.len()`
+    /// differs from `batch.len()` or the other slice lengths disagree as in
+    /// [`Kernel::grad_from_diffs`].
     fn grad_from_diffs_with_values(
         &self,
         p: &[f64],
         batch: &DiffBatch<'_>,
         weights: &[f64],
         values: &[f64],
+        records: &[Self::PairRecord],
         acc: &mut [f64],
     ) {
         debug_assert_eq!(values.len(), batch.len());
-        let _ = values;
+        debug_assert_eq!(records.len(), batch.len());
+        let _ = (values, records);
         self.grad_from_diffs(p, batch, weights, acc);
     }
 
@@ -181,6 +215,8 @@ impl SquaredExponential {
 }
 
 impl Kernel for SquaredExponential {
+    type PairRecord = ();
+
     fn input_dim(&self) -> usize {
         self.dim
     }
@@ -313,6 +349,7 @@ impl Kernel for SquaredExponential {
         batch: &DiffBatch<'_>,
         weights: &[f64],
         values: &[f64],
+        _records: &[()],
         acc: &mut [f64],
     ) {
         debug_assert_eq!(weights.len(), batch.len());
@@ -391,6 +428,8 @@ impl Matern52 {
 }
 
 impl Kernel for Matern52 {
+    type PairRecord = ();
+
     fn input_dim(&self) -> usize {
         self.dim
     }
@@ -611,6 +650,83 @@ impl NargpKernel {
             k3_self: se_pair(sf2_3, &inv_l3, x, x),
         }
     }
+
+    /// The batched value pass behind [`Kernel::eval_from_diffs`] and
+    /// [`Kernel::eval_from_diffs_recorded`]: every pair's `k1·k2 + k3`, and
+    /// its `(k1, k2, k3)` into `records` when given.
+    fn eval_pairs(
+        &self,
+        p: &[f64],
+        batch: &DiffBatch<'_>,
+        out: &mut [f64],
+        mut records: Option<&mut [[f64; 3]]>,
+    ) {
+        debug_assert_eq!(out.len(), batch.len());
+        debug_assert_eq!(batch.dim(), self.input_dim());
+        debug_assert!(records.as_ref().is_none_or(|r| r.len() == batch.len()));
+        let d = self.design_dim;
+        let (p1, p2, p3) = self.split(p);
+        // All three components are SE: hoist every parameter transform.
+        let sf2_1 = (2.0 * p1[0]).exp();
+        let inv_l1 = (-p1[1]).exp();
+        let sf2_2 = (2.0 * p2[0]).exp();
+        let inv_l2 = inv_lengthscales(&p2[1..1 + d]);
+        let sf2_3 = (2.0 * p3[0]).exp();
+        let inv_l3 = inv_lengthscales(&p3[1..1 + d]);
+        if let Some((be, rows)) = batch.simd_rows() {
+            // Dim-major rows split cleanly into the design-space block
+            // (dimensions 0..d) and the fidelity channel (dimension d), so
+            // each SE component is one `sq_norm` sweep across all pairs.
+            // `sq_norm` with a single dimension yields `0.0 + z_f²`, which
+            // is bit-identical to the scalar path's bare `z_f · z_f` (a
+            // square is never -0.0).
+            let count = batch.len();
+            let (design_rows, fid_row) = rows.split_at(d * count);
+            let mut q1 = vec![0.0; count];
+            let mut q3 = vec![0.0; count];
+            mfbo_simd::sq_norm(be, fid_row, count, &[inv_l1], &mut q1);
+            mfbo_simd::sq_norm(be, design_rows, count, &inv_l3, &mut q3);
+            mfbo_simd::sq_norm(be, design_rows, count, &inv_l2, out);
+            for (q, ((o, &q1v), &q3v)) in out.iter_mut().zip(&q1).zip(&q3).enumerate() {
+                let k1v = sf2_1 * (-0.5 * q1v).exp();
+                let k2v = sf2_2 * (-0.5 * *o).exp();
+                let k3v = sf2_3 * (-0.5 * q3v).exp();
+                *o = k1v * k2v + k3v;
+                if let Some(r) = records.as_deref_mut() {
+                    r[q] = [k1v, k2v, k3v];
+                }
+            }
+            return;
+        }
+        for (q, (df, o)) in batch
+            .diffs()
+            .chunks_exact(d + 1)
+            .zip(out.iter_mut())
+            .enumerate()
+        {
+            // The augmented layout is (x_1 … x_d, f): the fidelity channel
+            // difference is the last entry, the design-space differences
+            // the first `d`.
+            let zf = df[d] * inv_l1;
+            let k1v = sf2_1 * (-0.5 * (zf * zf)).exp();
+            let mut q2 = 0.0;
+            for (di, li) in df[..d].iter().zip(&inv_l2) {
+                let z = di * li;
+                q2 += z * z;
+            }
+            let k2v = sf2_2 * (-0.5 * q2).exp();
+            let mut q3 = 0.0;
+            for (di, li) in df[..d].iter().zip(&inv_l3) {
+                let z = di * li;
+                q3 += z * z;
+            }
+            let k3v = sf2_3 * (-0.5 * q3).exp();
+            *o = k1v * k2v + k3v;
+            if let Some(r) = records.as_deref_mut() {
+                r[q] = [k1v, k2v, k3v];
+            }
+        }
+    }
 }
 
 /// The fidelity-channel half of [`NargpKernel::factor_design`]: the `k1`
@@ -640,6 +756,9 @@ impl NargpFactors {
 }
 
 impl Kernel for NargpKernel {
+    /// The component values `(k1, k2, k3)` of the pair.
+    type PairRecord = [f64; 3];
+
     fn input_dim(&self) -> usize {
         self.design_dim + 1
     }
@@ -686,137 +805,66 @@ impl Kernel for NargpKernel {
     }
 
     fn eval_from_diffs(&self, p: &[f64], batch: &DiffBatch<'_>, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), batch.len());
-        debug_assert_eq!(batch.dim(), self.input_dim());
-        let d = self.design_dim;
-        let (p1, p2, p3) = self.split(p);
-        // All three components are SE: hoist every parameter transform.
-        let sf2_1 = (2.0 * p1[0]).exp();
-        let inv_l1 = (-p1[1]).exp();
-        let sf2_2 = (2.0 * p2[0]).exp();
-        let inv_l2 = inv_lengthscales(&p2[1..1 + d]);
-        let sf2_3 = (2.0 * p3[0]).exp();
-        let inv_l3 = inv_lengthscales(&p3[1..1 + d]);
-        if let Some((be, rows)) = batch.simd_rows() {
-            // Dim-major rows split cleanly into the design-space block
-            // (dimensions 0..d) and the fidelity channel (dimension d), so
-            // each SE component is one `sq_norm` sweep across all pairs.
-            // `sq_norm` with a single dimension yields `0.0 + z_f²`, which
-            // is bit-identical to the scalar path's bare `z_f · z_f` (a
-            // square is never -0.0).
-            let count = batch.len();
-            let (design_rows, fid_row) = rows.split_at(d * count);
-            let mut q1 = vec![0.0; count];
-            let mut q3 = vec![0.0; count];
-            mfbo_simd::sq_norm(be, fid_row, count, &[inv_l1], &mut q1);
-            mfbo_simd::sq_norm(be, design_rows, count, &inv_l3, &mut q3);
-            mfbo_simd::sq_norm(be, design_rows, count, &inv_l2, out);
-            for ((o, &q1v), &q3v) in out.iter_mut().zip(&q1).zip(&q3) {
-                let k1v = sf2_1 * (-0.5 * q1v).exp();
-                let k2v = sf2_2 * (-0.5 * *o).exp();
-                let k3v = sf2_3 * (-0.5 * q3v).exp();
-                *o = k1v * k2v + k3v;
-            }
-            return;
-        }
-        for (df, o) in batch.diffs().chunks_exact(d + 1).zip(out.iter_mut()) {
-            // The augmented layout is (x_1 … x_d, f): the fidelity channel
-            // difference is the last entry, the design-space differences
-            // the first `d`.
-            let zf = df[d] * inv_l1;
-            let k1v = sf2_1 * (-0.5 * (zf * zf)).exp();
-            let mut q2 = 0.0;
-            for (di, li) in df[..d].iter().zip(&inv_l2) {
-                let z = di * li;
-                q2 += z * z;
-            }
-            let k2v = sf2_2 * (-0.5 * q2).exp();
-            let mut q3 = 0.0;
-            for (di, li) in df[..d].iter().zip(&inv_l3) {
-                let z = di * li;
-                q3 += z * z;
-            }
-            let k3v = sf2_3 * (-0.5 * q3).exp();
-            *o = k1v * k2v + k3v;
-        }
+        self.eval_pairs(p, batch, out, None);
     }
 
-    fn grad_from_diffs(&self, p: &[f64], batch: &DiffBatch<'_>, weights: &[f64], acc: &mut [f64]) {
+    fn eval_from_diffs_recorded(
+        &self,
+        p: &[f64],
+        batch: &DiffBatch<'_>,
+        out: &mut [f64],
+        records: &mut [[f64; 3]],
+    ) {
+        self.eval_pairs(p, batch, out, Some(records));
+    }
+
+    fn grad_from_diffs_with_values(
+        &self,
+        p: &[f64],
+        batch: &DiffBatch<'_>,
+        weights: &[f64],
+        values: &[f64],
+        records: &[[f64; 3]],
+        acc: &mut [f64],
+    ) {
         debug_assert_eq!(weights.len(), batch.len());
+        debug_assert_eq!(values.len(), batch.len());
+        debug_assert_eq!(records.len(), batch.len());
         debug_assert_eq!(acc.len(), self.num_params());
         debug_assert_eq!(batch.dim(), self.input_dim());
         let d = self.design_dim;
         let (p1, p2, p3) = self.split(p);
         let n1 = self.k1.num_params();
         let n2 = self.k2.num_params();
-        let sf2_1 = (2.0 * p1[0]).exp();
         let inv_l1 = (-p1[1]).exp();
-        let sf2_2 = (2.0 * p2[0]).exp();
         let inv_l2 = inv_lengthscales(&p2[1..1 + d]);
-        let sf2_3 = (2.0 * p3[0]).exp();
         let inv_l3 = inv_lengthscales(&p3[1..1 + d]);
-        let mut z2_2 = vec![0.0; d];
-        let mut z2_3 = vec![0.0; d];
-        if let Some((be, _)) = batch.simd_rows() {
-            // Vectorized across design dimensions within each pair, scalar
-            // over the single fidelity channel; per-pair accumulation order
-            // into `acc` is unchanged.
-            for (df, &w) in batch.diffs().chunks_exact(d + 1).zip(weights.iter()) {
-                let zf = df[d] * inv_l1;
-                let z2f = zf * zf;
-                let k1v = sf2_1 * (-0.5 * z2f).exp();
-                mfbo_simd::z2_into(be, &df[..d], &inv_l2, &mut z2_2);
-                let mut q2 = 0.0;
-                for &v in &z2_2 {
-                    q2 += v;
-                }
-                let k2v = sf2_2 * (-0.5 * q2).exp();
-                mfbo_simd::z2_into(be, &df[..d], &inv_l3, &mut z2_3);
-                let mut q3 = 0.0;
-                for &v in &z2_3 {
-                    q3 += v;
-                }
-                let k3v = sf2_3 * (-0.5 * q3).exp();
-                acc[0] += w * ((2.0 * k1v) * k2v);
-                acc[1] += w * ((k1v * z2f) * k2v);
-                acc[n1] += w * ((2.0 * k2v) * k1v);
-                mfbo_simd::accum_scaled2(be, &mut acc[n1 + 1..n1 + 1 + d], &z2_2, k2v, k1v, w);
-                acc[n1 + n2] += w * (2.0 * k3v);
-                mfbo_simd::accum_scaled(be, &mut acc[n1 + n2 + 1..], &z2_3, k3v, w);
-            }
-            return;
-        }
-        for (df, &w) in batch.diffs().chunks_exact(d + 1).zip(weights.iter()) {
+        let (g1, rest) = acc.split_at_mut(n1);
+        let (g2, g3) = rest.split_at_mut(n2);
+        // The component values come from the value pass, so no `exp` is
+        // left per pair; only the `z²` products are recomputed, each as
+        // `eval_grad` computes it (signed difference × inv_l, squared).
+        // Product rule exactly as `eval_grad`: component gradients first,
+        // then the cross-scaling, then the weighted accumulation — each
+        // product parenthesized the way the scalar path computes it.
+        for ((df, &w), &[k1v, k2v, k3v]) in batch
+            .diffs()
+            .chunks_exact(d + 1)
+            .zip(weights.iter())
+            .zip(records.iter())
+        {
             let zf = df[d] * inv_l1;
-            let z2f = zf * zf;
-            let k1v = sf2_1 * (-0.5 * z2f).exp();
-            let mut q2 = 0.0;
-            for i in 0..d {
-                let z = df[i] * inv_l2[i];
-                z2_2[i] = z * z;
-                q2 += z2_2[i];
+            g1[0] += w * ((2.0 * k1v) * k2v);
+            g1[1] += w * ((k1v * (zf * zf)) * k2v);
+            g2[0] += w * ((2.0 * k2v) * k1v);
+            for ((g, &di), &li) in g2[1..].iter_mut().zip(&df[..d]).zip(&inv_l2) {
+                let z = di * li;
+                *g += w * ((k2v * (z * z)) * k1v);
             }
-            let k2v = sf2_2 * (-0.5 * q2).exp();
-            let mut q3 = 0.0;
-            for i in 0..d {
-                let z = df[i] * inv_l3[i];
-                z2_3[i] = z * z;
-                q3 += z2_3[i];
-            }
-            let k3v = sf2_3 * (-0.5 * q3).exp();
-            // Product rule exactly as `eval_grad`: component gradients
-            // first, then the cross-scaling, then the weighted
-            // accumulation — each product parenthesized the way the scalar
-            // path computes it.
-            acc[0] += w * ((2.0 * k1v) * k2v);
-            acc[1] += w * ((k1v * z2f) * k2v);
-            acc[n1] += w * ((2.0 * k2v) * k1v);
-            for i in 0..d {
-                acc[n1 + 1 + i] += w * ((k2v * z2_2[i]) * k1v);
-            }
-            acc[n1 + n2] += w * (2.0 * k3v);
-            for i in 0..d {
-                acc[n1 + n2 + 1 + i] += w * (k3v * z2_3[i]);
+            g3[0] += w * (2.0 * k3v);
+            for ((g, &di), &li) in g3[1..].iter_mut().zip(&df[..d]).zip(&inv_l3) {
+                let z = di * li;
+                *g += w * (k3v * (z * z));
             }
         }
     }
@@ -1000,10 +1048,16 @@ mod tests {
         for (j, (f, r)) in acc_fast.iter().zip(&acc_ref).enumerate() {
             assert_eq!(f.to_bits(), r.to_bits(), "grad param {j}");
         }
-        // Values-supplied gradient variant (fed the eval-pass output, as the
-        // cached NLML does) must match the same reference.
+        // Values-supplied gradient variant (fed the recorded eval-pass
+        // output, as the cached NLML does) must match the same reference.
+        let mut recorded = vec![0.0; batch.len()];
+        let mut records = vec![K::PairRecord::default(); batch.len()];
+        k.eval_from_diffs_recorded(p, &batch, &mut recorded, &mut records);
+        for (q, (r, f)) in recorded.iter().zip(&fast).enumerate() {
+            assert_eq!(r.to_bits(), f.to_bits(), "recorded pair {q}");
+        }
         let mut acc_vals = vec![0.0; k.num_params()];
-        k.grad_from_diffs_with_values(p, &batch, &weights, &fast, &mut acc_vals);
+        k.grad_from_diffs_with_values(p, &batch, &weights, &recorded, &records, &mut acc_vals);
         for (j, (f, r)) in acc_vals.iter().zip(&acc_ref).enumerate() {
             assert_eq!(f.to_bits(), r.to_bits(), "grad-with-values param {j}");
         }

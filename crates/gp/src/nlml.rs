@@ -258,10 +258,10 @@ pub fn nlml_with_grad<K: Kernel>(
 /// Bit-identical to the naive path: the trace weights `Wᵢⱼ` are computed in
 /// the same lower-triangle order and handed to
 /// [`Kernel::grad_from_diffs_with_values`] (together with the kernel values
-/// the eval pass already produced), whose accumulation contract matches the
-/// naive pair-by-pair loop exactly. The noise-slot gradient is a separate
-/// accumulator, so summing it over the diagonal afterwards reproduces the
-/// naive interleaved order bit for bit.
+/// and per-pair records the eval pass already produced), whose accumulation
+/// contract matches the naive pair-by-pair loop exactly. The noise-slot
+/// gradient is a separate accumulator, so summing it over the diagonal
+/// afterwards reproduces the naive interleaved order bit for bit.
 ///
 /// # Panics
 ///
@@ -282,11 +282,12 @@ pub fn nlml_with_grad_cached<K: Kernel>(
     let np = kernel.num_params();
     let (kp, log_noise) = theta.split_at(np);
     let n = ws.n;
-    // Keep the raw (noise-free) kernel values of the eval pass alive: the
-    // gradient hook below reuses them, saving kernels whose gradient
-    // factors through the value a second per-pair `exp` sweep.
+    // Keep the raw (noise-free) kernel values and per-pair records of the
+    // eval pass alive: the gradient hook below reuses them, saving kernels
+    // whose gradient factors through them a second per-pair `exp` sweep.
     let mut kv = vec![0.0; ws.batch().len()];
-    kernel.eval_from_diffs(kp, ws.batch(), &mut kv);
+    let mut records = vec![K::PairRecord::default(); ws.batch().len()];
+    kernel.eval_from_diffs_recorded(kp, ws.batch(), &mut kv, &mut records);
     let sn2 = (2.0 * log_noise[0]).exp();
     let km = assemble_from_lower(n, &kv, sn2);
     mfbo_telemetry::counter!("nlml_evals", 1u64);
@@ -312,7 +313,7 @@ pub fn nlml_with_grad_cached<K: Kernel>(
         }
     }
     let mut grad = vec![0.0; theta.len()];
-    kernel.grad_from_diffs_with_values(kp, ws.batch(), &weights, &kv, &mut grad[..np]);
+    kernel.grad_from_diffs_with_values(kp, ws.batch(), &weights, &kv, &records, &mut grad[..np]);
     for i in 0..n {
         // Diagonal pair (i, i) sits at lower-triangle index i(i+3)/2.
         let weight = weights[i * (i + 3) / 2];

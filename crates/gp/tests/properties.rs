@@ -160,10 +160,22 @@ mod bit_identity {
         for (a, b) in gf.iter().zip(&gr) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
+        // The recorded value pass writes the same values, and the gradient
+        // that reads its records is backend-invisible too.
+        let mut rf = vec![K::PairRecord::default(); fast.len()];
+        let mut rr = vec![K::PairRecord::default(); fast.len()];
+        let mut kf2 = vec![0.0; fast.len()];
+        let mut kr2 = vec![0.0; fast.len()];
+        kernel.eval_from_diffs_recorded(theta, &fast, &mut kf2, &mut rf);
+        kernel.eval_from_diffs_recorded(theta, &reference, &mut kr2, &mut rr);
+        for ((a, b), c) in kf2.iter().zip(&kr2).zip(&kf) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+            prop_assert_eq!(a.to_bits(), c.to_bits());
+        }
         let mut gf2 = vec![0.0; kernel.num_params()];
         let mut gr2 = vec![0.0; kernel.num_params()];
-        kernel.grad_from_diffs_with_values(theta, &fast, &weights, &kf, &mut gf2);
-        kernel.grad_from_diffs_with_values(theta, &reference, &weights, &kr, &mut gr2);
+        kernel.grad_from_diffs_with_values(theta, &fast, &weights, &kf2, &rf, &mut gf2);
+        kernel.grad_from_diffs_with_values(theta, &reference, &weights, &kr2, &rr, &mut gr2);
         for (a, b) in gf2.iter().zip(&gr2) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -176,6 +188,8 @@ mod bit_identity {
     struct PerPair<K>(K);
 
     impl<K: Kernel> Kernel for PerPair<K> {
+        type PairRecord = ();
+
         fn input_dim(&self) -> usize {
             self.0.input_dim()
         }
@@ -431,15 +445,17 @@ mod bit_identity {
             check_kernel_backend_invisible(&nargp, &theta, &xs)?;
         }
 
-        /// The factored eq. (10) path must reproduce the generic batch path
-        /// on explicitly built augmented rows `(x, f_k)`: random NARGP
-        /// models, S ∈ {1, 12, 20} stratified values, a plug-in query at a
-        /// training input (near-zero posterior variance), and an
-        /// iterative-engine model whose variance comes from the subset
-        /// factor.
+        /// The factored, lane-interleaved eq. (10) path must reproduce both
+        /// the generic batch path on explicitly built augmented rows
+        /// `(x, f_k)` and the single-query posterior of each row: random
+        /// NARGP models with training sets across lane-group boundaries,
+        /// S ∈ {1, 12, 20} stratified values, a plug-in query at a training
+        /// input (near-zero posterior variance), and an iterative-engine
+        /// model whose variance comes from the subset factor.
         #[test]
         fn nargp_strata_bit_identical_to_explicit_rows(
-            xs in points(14, 3),
+            flat in prop::collection::vec(0.0f64..1.0, 21 * 3),
+            n in 1usize..22,
             theta in prop::collection::vec(-1.5f64..0.5, 8),
             design in points(1, 2),
             mu in -1.0f64..2.0,
@@ -447,6 +463,7 @@ mod bit_identity {
         ) {
             use mfbo_gp::InferenceMode;
             use mfbo_pool::Parallelism;
+            let xs: Vec<Vec<f64>> = flat.chunks(3).take(n).map(|c| c.to_vec()).collect();
             let ys: Vec<f64> = xs.iter().map(|z| z[0] - z[1] * z[2]).collect();
             let fit = |mode| {
                 Gp::with_params_inference(
@@ -463,7 +480,7 @@ mod bit_identity {
             };
             let models = [
                 fit(InferenceMode::Exact),
-                fit(InferenceMode::Iterative { subset: 8, max_iters: 64 }),
+                fit(InferenceMode::Iterative { subset: (n / 2).max(1), max_iters: 64 }),
             ];
             let x = &design[0];
             let mut cases: Vec<(Vec<f64>, Vec<f64>)> = [1usize, 12, 20]
@@ -475,7 +492,7 @@ mod bit_identity {
                     (x.clone(), strata)
                 })
                 .collect();
-            cases.push((xs[3][..2].to_vec(), vec![xs[3][2]]));
+            cases.push((xs[n - 1][..2].to_vec(), vec![xs[n - 1][2]]));
             for gp in &models {
                 for (x, strata) in &cases {
                     let rows: Vec<Vec<f64>> = strata
@@ -489,9 +506,54 @@ mod bit_identity {
                     let reference = gp.predict_batch_standardized(&rows);
                     let factored = gp.predict_strata_standardized(x, strata);
                     prop_assert_eq!(factored.len(), reference.len());
-                    for ((fm, fv), (rm, rv)) in factored.iter().zip(&reference) {
+                    for (((fm, fv), (rm, rv)), row) in factored.iter().zip(&reference).zip(&rows) {
                         prop_assert_eq!(fm.to_bits(), rm.to_bits());
                         prop_assert_eq!(fv.to_bits(), rv.to_bits());
+                        let (sm, sv) = gp.predict_standardized(row);
+                        prop_assert_eq!(fm.to_bits(), sm.to_bits());
+                        prop_assert_eq!(fv.to_bits(), sv.to_bits());
+                    }
+                }
+            }
+        }
+
+        /// The NARGP gradient that reads the value pass's `(k1, k2, k3)`
+        /// records must reproduce the per-pair `eval_grad` accumulation bit
+        /// for bit, for d ∈ {1, 5}, over the SIMD and the scalar difference
+        /// layouts.
+        #[test]
+        fn nargp_grad_with_records_bit_identical_to_eval_grad(
+            flat in prop::collection::vec(0.0f64..1.0, 13 * 6),
+            n in 1usize..13,
+            theta in prop::collection::vec(-1.5f64..0.5, 14),
+            wseed in -1.0f64..1.0,
+        ) {
+            for d in [1usize, 5] {
+                let xs: Vec<Vec<f64>> = flat.chunks(6).take(n).map(|c| c[..=d].to_vec()).collect();
+                let k = NargpKernel::new(d);
+                let p = &theta[..k.num_params()];
+                let count = n * (n + 1) / 2;
+                let weights: Vec<f64> =
+                    (0..count).map(|q| ((q as f64 + wseed) * 0.37).sin() - 0.3).collect();
+                let mut want = vec![0.0; k.num_params()];
+                let mut kg = vec![0.0; k.num_params()];
+                let reference = DiffBatch::lower_triangle_with_backend(&xs, mfbo_simd::Backend::Scalar);
+                for (q, &w) in weights.iter().enumerate() {
+                    let (a, b) = reference.pair_points(q);
+                    k.eval_grad(p, a, b, &mut kg);
+                    for (g, &dk) in want.iter_mut().zip(&kg) {
+                        *g += w * dk;
+                    }
+                }
+                for be in [mfbo_simd::detect(), mfbo_simd::Backend::Scalar] {
+                    let batch = DiffBatch::lower_triangle_with_backend(&xs, be);
+                    let mut values = vec![0.0; count];
+                    let mut records = vec![[0.0; 3]; count];
+                    k.eval_from_diffs_recorded(p, &batch, &mut values, &mut records);
+                    let mut got = vec![0.0; k.num_params()];
+                    k.grad_from_diffs_with_values(p, &batch, &weights, &values, &records, &mut got);
+                    for (g, w) in got.iter().zip(&want) {
+                        prop_assert_eq!(g.to_bits(), w.to_bits());
                     }
                 }
             }
@@ -559,6 +621,55 @@ mod bit_identity {
                 let (rm, rv) = rebuilt.predict_standardized(&q);
                 prop_assert_eq!(gm.to_bits(), rm.to_bits());
                 prop_assert_eq!(gv.to_bits(), rv.to_bits());
+            }
+        }
+    }
+    /// Every product of the strata means is `-0.0`: the query's design
+    /// point is so far from the training inputs that each cross-covariance
+    /// underflows to `+0.0`, and every `alpha` entry is negative. A sum
+    /// started from `-0.0` stays `-0.0`, as `.sum()` (and so
+    /// `mfbo_linalg::dot` in the single-query path) does; one started from
+    /// `+0.0` would end at `+0.0`.
+    #[test]
+    fn strata_means_start_from_negative_zero() {
+        use mfbo_gp::InferenceMode;
+        use mfbo_pool::Parallelism;
+        for n in [1usize, 3, 4, 5, 9] {
+            // Well separated inputs and a short lengthscale: K is nearly
+            // diagonal, so alpha keeps the sign of the all-negative ys.
+            let xs: Vec<Vec<f64>> = (0..n)
+                .map(|i| vec![i as f64, 0.0, 0.1 * i as f64])
+                .collect();
+            let ys: Vec<f64> = (0..n).map(|i| -1.0 - i as f64).collect();
+            let theta = vec![0.0, -0.5, 0.0, -5.0, -5.0, -1.0, -5.0, -5.0];
+            for mode in [
+                InferenceMode::Exact,
+                InferenceMode::Iterative {
+                    subset: 2,
+                    max_iters: 64,
+                },
+            ] {
+                let gp = Gp::with_params_inference(
+                    NargpKernel::new(2),
+                    xs.clone(),
+                    ys.clone(),
+                    theta.clone(),
+                    -3.0,
+                    false,
+                    mode,
+                    Parallelism::Serial,
+                )
+                .unwrap();
+                let x = [50.0, 50.0];
+                let strata: Vec<f64> = (0..6).map(|k| k as f64 * 0.3 - 0.7).collect();
+                for (&f, &(m, _)) in strata
+                    .iter()
+                    .zip(&gp.predict_strata_standardized(&x, &strata))
+                {
+                    let (rm, _) = gp.predict_standardized(&[x[0], x[1], f]);
+                    assert_eq!(rm.to_bits(), (-0.0f64).to_bits(), "n={n}");
+                    assert_eq!(m.to_bits(), rm.to_bits(), "n={n}");
+                }
             }
         }
     }

@@ -199,6 +199,36 @@ mod bit_identity {
             }
         }
 
+        /// The lane-interleaved `inverse_lower` against the full inverse at
+        /// every size from 1 to 70: partial last lane groups, groups that
+        /// straddle the blocked factorization's panel edge, and sizes that
+        /// are no multiple of any lane width.
+        #[test]
+        fn inverse_lower_interleaved_bit_identical_across_sizes(
+            n in 1usize..71,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            };
+            let b = Matrix::from_fn(n, n, |_, _| next());
+            let mut a = b.matmul(&b.transpose());
+            a.add_diag(n as f64);
+            let chol = Cholesky::new(&a).unwrap();
+            let lower = chol.inverse_lower();
+            let full = chol.inverse();
+            for i in 0..n {
+                for j in 0..=i {
+                    prop_assert_eq!(lower[(i, j)].to_bits(), full[(i, j)].to_bits(), "({}, {})", i, j);
+                    prop_assert_eq!(lower[(j, i)].to_bits(), lower[(i, j)].to_bits());
+                }
+            }
+        }
+
         #[test]
         fn into_variants_bit_identical_to_allocating(
             a in spd_matrix(17),

@@ -99,28 +99,6 @@ pub(crate) unsafe fn accum_scaled(acc: &mut [f64], z2: &[f64], k: f64, w: f64) {
 }
 
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn accum_scaled2(acc: &mut [f64], z2: &[f64], a: f64, b: f64, w: f64) {
-    let n = acc.len();
-    let av = _mm256_set1_pd(a);
-    let bv = _mm256_set1_pd(b);
-    let wv = _mm256_set1_pd(w);
-    let mut i = 0usize;
-    while i + LANES <= n {
-        let t = _mm256_mul_pd(_mm256_mul_pd(av, _mm256_loadu_pd(z2.as_ptr().add(i))), bv);
-        let g = _mm256_loadu_pd(acc.as_ptr().add(i));
-        _mm256_storeu_pd(
-            acc.as_mut_ptr().add(i),
-            _mm256_add_pd(g, _mm256_mul_pd(wv, t)),
-        );
-        i += LANES;
-    }
-    while i < n {
-        acc[i] += w * ((a * z2[i]) * b);
-        i += 1;
-    }
-}
-
-#[target_feature(enable = "avx2")]
 pub(crate) unsafe fn accum_weighted_sq(acc: &mut [f64], d: &[f64], inv_l: &[f64], k: f64, w: f64) {
     let n = acc.len();
     let kv = _mm256_set1_pd(k);
@@ -211,32 +189,32 @@ pub(crate) unsafe fn fold_cols(dst: &mut [f64], src: &[f64], cols: &[(usize, f64
 }
 
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn forward_solve_interleaved(l: &[f64], n: usize, b: &[f64], out: &mut [f64]) {
-    let op = out.as_mut_ptr();
-    for i in 0..n {
+pub(crate) unsafe fn forward_solve_interleaved(l: &[f64], n: usize, start: usize, x: &mut [f64]) {
+    let xp = x.as_mut_ptr();
+    for i in start..n {
         let row = &l[i * n..i * n + n];
-        let mut s = _mm256_loadu_pd(b.as_ptr().add(i * LANES));
-        for (k, &lik) in row[..i].iter().enumerate() {
-            let xv = _mm256_loadu_pd(op.add(k * LANES) as *const f64);
+        let mut s = _mm256_loadu_pd(xp.add(i * LANES) as *const f64);
+        for (k, &lik) in row[..i].iter().enumerate().skip(start) {
+            let xv = _mm256_loadu_pd(xp.add(k * LANES) as *const f64);
             s = _mm256_sub_pd(s, _mm256_mul_pd(_mm256_set1_pd(lik), xv));
         }
         s = _mm256_div_pd(s, _mm256_set1_pd(row[i]));
-        _mm256_storeu_pd(op.add(i * LANES), s);
+        _mm256_storeu_pd(xp.add(i * LANES), s);
     }
 }
 
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn back_solve_interleaved(cols: &[f64], n: usize, b: &[f64], out: &mut [f64]) {
-    let op = out.as_mut_ptr();
-    for i in (0..n).rev() {
+pub(crate) unsafe fn back_solve_interleaved(cols: &[f64], n: usize, start: usize, x: &mut [f64]) {
+    let xp = x.as_mut_ptr();
+    for i in (start..n).rev() {
         let off = i * (2 * n - i + 1) / 2;
         let col = &cols[off..off + (n - i)];
-        let mut s = _mm256_loadu_pd(b.as_ptr().add(i * LANES));
+        let mut s = _mm256_loadu_pd(xp.add(i * LANES) as *const f64);
         for (k, &cki) in col.iter().enumerate().skip(1) {
-            let xv = _mm256_loadu_pd(op.add((i + k) * LANES) as *const f64);
+            let xv = _mm256_loadu_pd(xp.add((i + k) * LANES) as *const f64);
             s = _mm256_sub_pd(s, _mm256_mul_pd(_mm256_set1_pd(cki), xv));
         }
         s = _mm256_div_pd(s, _mm256_set1_pd(col[0]));
-        _mm256_storeu_pd(op.add(i * LANES), s);
+        _mm256_storeu_pd(xp.add(i * LANES), s);
     }
 }

@@ -63,6 +63,10 @@ pub enum Backend {
     Neon,
 }
 
+/// The widest [`Backend::lanes`] of any backend — the size of a per-lane
+/// accumulator array that serves every backend.
+pub const MAX_LANES: usize = 4;
+
 impl Backend {
     /// Number of f64 lanes the backend processes per vector — the interleave
     /// factor callers use to lay out multi-RHS solves.
@@ -265,19 +269,6 @@ pub fn accum_scaled(be: Backend, acc: &mut [f64], z2: &[f64], k: f64, w: f64) {
     dispatch!(be, accum_scaled(acc, z2, k, w));
 }
 
-/// Weighted cross-term gradient accumulation
-/// `acc[i] += w · ((a · z2[i]) · b)` — the product-rule shape of the NARGP
-/// `k2` lengthscale gradients (`a` the owning component value, `b` the
-/// cross-scaling component value).
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn accum_scaled2(be: Backend, acc: &mut [f64], z2: &[f64], a: f64, b: f64, w: f64) {
-    assert_eq!(acc.len(), z2.len(), "accum_scaled2 shape mismatch");
-    dispatch!(be, accum_scaled2(acc, z2, a, b, w));
-}
-
 /// Fused weighted-square gradient accumulation
 /// `acc[i] += w · (k · ((d[i]·inv_l[i]) · (d[i]·inv_l[i])))` — the
 /// values-supplied SE gradient of one pair without materializing `z²`.
@@ -309,67 +300,75 @@ pub fn fold_cols(be: Backend, dst: &mut [f64], src: &[f64], cols: &[(usize, f64)
     dispatch!(be, fold_cols(dst, src, cols));
 }
 
-/// Interleaved multi-RHS forward substitution: solves `L z = b` for
-/// `be.lanes()` right-hand sides stored lane-interleaved
-/// (`b[i*lanes + c]` is row `i` of RHS `c`), each lane executing exactly
-/// the scalar single-RHS operation sequence. `l` is the row-major `n × n`
+/// Interleaved multi-RHS forward substitution, in place: solves `L z = b`
+/// for `be.lanes()` right-hand sides stored lane-interleaved in `x`
+/// (`x[i*lanes + c]` is row `i` of RHS `c`), each lane executing exactly the
+/// scalar single-RHS operation sequence. `l` is the row-major `n × n`
 /// lower-triangular factor.
+///
+/// The solve covers the trailing block from row and column `start`: rows
+/// above `start` are neither read nor written, and each row's `k` terms
+/// run from `start`. With `start = 0` this is the full solve. A caller
+/// whose right-hand sides are zero above `start` gets the full solve's
+/// bits as long as those zero rows would stay `+0.0` and subtract only
+/// `±0` products — the inverse's unit columns are the case in point (see
+/// `Cholesky::inverse_lower_into` in `mfbo-linalg`).
 ///
 /// # Panics
 ///
-/// Panics if `l.len() != n*n` or the RHS/output lengths are not
-/// `n * be.lanes()`.
-pub fn forward_solve_interleaved(be: Backend, l: &[f64], n: usize, b: &[f64], out: &mut [f64]) {
+/// Panics if `l.len() != n*n`, `start > n` or `x.len() != n * be.lanes()`.
+pub fn forward_solve_interleaved(be: Backend, l: &[f64], n: usize, start: usize, x: &mut [f64]) {
     let lanes = be.lanes();
     assert_eq!(l.len(), n * n, "forward_solve_interleaved factor mismatch");
-    assert_eq!(b.len(), n * lanes, "forward_solve_interleaved rhs mismatch");
-    assert_eq!(
-        out.len(),
-        n * lanes,
-        "forward_solve_interleaved out mismatch"
-    );
+    assert!(start <= n, "forward_solve_interleaved start out of range");
+    assert_eq!(x.len(), n * lanes, "forward_solve_interleaved rhs mismatch");
     match be {
-        Backend::Scalar => scalar::forward_solve_interleaved(l, n, 1, b, out),
+        Backend::Scalar => scalar::forward_solve_interleaved(l, n, 1, start, x),
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 if std::arch::is_x86_feature_detected!("avx2") =>
         // SAFETY: AVX2 availability confirmed by the guard.
-        unsafe { avx2::forward_solve_interleaved(l, n, b, out) },
+        unsafe { avx2::forward_solve_interleaved(l, n, start, x) },
         #[cfg(target_arch = "aarch64")]
         Backend::Neon if std::arch::is_aarch64_feature_detected!("neon") =>
         // SAFETY: NEON availability confirmed by the guard.
-        unsafe { neon::forward_solve_interleaved(l, n, b, out) },
-        _ => scalar::forward_solve_interleaved(l, n, lanes, b, out),
+        unsafe { neon::forward_solve_interleaved(l, n, start, x) },
+        _ => scalar::forward_solve_interleaved(l, n, lanes, start, x),
     }
 }
 
-/// Interleaved multi-RHS back substitution: solves `Lᵀ x = b` for
+/// Interleaved multi-RHS back substitution, in place: solves `Lᵀ x = b` for
 /// `be.lanes()` lane-interleaved right-hand sides against the packed
 /// column-major factor (`cols[j·(2n−j+1)/2..][..n−j]` holds `L[j..n][j]`).
 ///
+/// The sweep runs from row `n − 1` down to row `start` and stops there:
+/// rows above `start` are neither read nor written. Row `i` reads only the
+/// rows below it, so every row it does compute is bit-identical to the
+/// full (`start = 0`) sweep.
+///
 /// # Panics
 ///
-/// Panics if `cols.len() != n(n+1)/2` or the RHS/output lengths are not
-/// `n * be.lanes()`.
-pub fn back_solve_interleaved(be: Backend, cols: &[f64], n: usize, b: &[f64], out: &mut [f64]) {
+/// Panics if `cols.len() != n(n+1)/2`, `start > n` or
+/// `x.len() != n * be.lanes()`.
+pub fn back_solve_interleaved(be: Backend, cols: &[f64], n: usize, start: usize, x: &mut [f64]) {
     let lanes = be.lanes();
     assert_eq!(
         cols.len(),
         n * (n + 1) / 2,
         "back_solve_interleaved factor mismatch"
     );
-    assert_eq!(b.len(), n * lanes, "back_solve_interleaved rhs mismatch");
-    assert_eq!(out.len(), n * lanes, "back_solve_interleaved out mismatch");
+    assert!(start <= n, "back_solve_interleaved start out of range");
+    assert_eq!(x.len(), n * lanes, "back_solve_interleaved rhs mismatch");
     match be {
-        Backend::Scalar => scalar::back_solve_interleaved(cols, n, 1, b, out),
+        Backend::Scalar => scalar::back_solve_interleaved(cols, n, 1, start, x),
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 if std::arch::is_x86_feature_detected!("avx2") =>
         // SAFETY: AVX2 availability confirmed by the guard.
-        unsafe { avx2::back_solve_interleaved(cols, n, b, out) },
+        unsafe { avx2::back_solve_interleaved(cols, n, start, x) },
         #[cfg(target_arch = "aarch64")]
         Backend::Neon if std::arch::is_aarch64_feature_detected!("neon") =>
         // SAFETY: NEON availability confirmed by the guard.
-        unsafe { neon::back_solve_interleaved(cols, n, b, out) },
-        _ => scalar::back_solve_interleaved(cols, n, lanes, b, out),
+        unsafe { neon::back_solve_interleaved(cols, n, start, x) },
+        _ => scalar::back_solve_interleaved(cols, n, lanes, start, x),
     }
 }
 
@@ -403,6 +402,9 @@ mod tests {
         assert_eq!(Backend::Scalar.lanes(), 1);
         assert_eq!(Backend::Avx2.lanes(), 4);
         assert_eq!(Backend::Neon.lanes(), 2);
+        for be in [Backend::Scalar, Backend::Avx2, Backend::Neon] {
+            assert!(be.lanes() <= MAX_LANES);
+        }
     }
 
     #[test]

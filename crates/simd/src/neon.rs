@@ -92,25 +92,6 @@ pub(crate) unsafe fn accum_scaled(acc: &mut [f64], z2: &[f64], k: f64, w: f64) {
 }
 
 #[target_feature(enable = "neon")]
-pub(crate) unsafe fn accum_scaled2(acc: &mut [f64], z2: &[f64], a: f64, b: f64, w: f64) {
-    let n = acc.len();
-    let av = vdupq_n_f64(a);
-    let bv = vdupq_n_f64(b);
-    let wv = vdupq_n_f64(w);
-    let mut i = 0usize;
-    while i + LANES <= n {
-        let t = vmulq_f64(vmulq_f64(av, vld1q_f64(z2.as_ptr().add(i))), bv);
-        let g = vld1q_f64(acc.as_ptr().add(i));
-        vst1q_f64(acc.as_mut_ptr().add(i), vaddq_f64(g, vmulq_f64(wv, t)));
-        i += LANES;
-    }
-    while i < n {
-        acc[i] += w * ((a * z2[i]) * b);
-        i += 1;
-    }
-}
-
-#[target_feature(enable = "neon")]
 pub(crate) unsafe fn accum_weighted_sq(acc: &mut [f64], d: &[f64], inv_l: &[f64], k: f64, w: f64) {
     let n = acc.len();
     let kv = vdupq_n_f64(k);
@@ -194,32 +175,32 @@ pub(crate) unsafe fn fold_cols(dst: &mut [f64], src: &[f64], cols: &[(usize, f64
 }
 
 #[target_feature(enable = "neon")]
-pub(crate) unsafe fn forward_solve_interleaved(l: &[f64], n: usize, b: &[f64], out: &mut [f64]) {
-    let op = out.as_mut_ptr();
-    for i in 0..n {
+pub(crate) unsafe fn forward_solve_interleaved(l: &[f64], n: usize, start: usize, x: &mut [f64]) {
+    let xp = x.as_mut_ptr();
+    for i in start..n {
         let row = &l[i * n..i * n + n];
-        let mut s = vld1q_f64(b.as_ptr().add(i * LANES));
-        for (k, &lik) in row[..i].iter().enumerate() {
-            let xv = vld1q_f64(op.add(k * LANES) as *const f64);
+        let mut s = vld1q_f64(xp.add(i * LANES) as *const f64);
+        for (k, &lik) in row[..i].iter().enumerate().skip(start) {
+            let xv = vld1q_f64(xp.add(k * LANES) as *const f64);
             s = vsubq_f64(s, vmulq_f64(vdupq_n_f64(lik), xv));
         }
         s = vdivq_f64(s, vdupq_n_f64(row[i]));
-        vst1q_f64(op.add(i * LANES), s);
+        vst1q_f64(xp.add(i * LANES), s);
     }
 }
 
 #[target_feature(enable = "neon")]
-pub(crate) unsafe fn back_solve_interleaved(cols: &[f64], n: usize, b: &[f64], out: &mut [f64]) {
-    let op = out.as_mut_ptr();
-    for i in (0..n).rev() {
+pub(crate) unsafe fn back_solve_interleaved(cols: &[f64], n: usize, start: usize, x: &mut [f64]) {
+    let xp = x.as_mut_ptr();
+    for i in (start..n).rev() {
         let off = i * (2 * n - i + 1) / 2;
         let col = &cols[off..off + (n - i)];
-        let mut s = vld1q_f64(b.as_ptr().add(i * LANES));
+        let mut s = vld1q_f64(xp.add(i * LANES) as *const f64);
         for (k, &cki) in col.iter().enumerate().skip(1) {
-            let xv = vld1q_f64(op.add((i + k) * LANES) as *const f64);
+            let xv = vld1q_f64(xp.add((i + k) * LANES) as *const f64);
             s = vsubq_f64(s, vmulq_f64(vdupq_n_f64(cki), xv));
         }
         s = vdivq_f64(s, vdupq_n_f64(col[0]));
-        vst1q_f64(op.add(i * LANES), s);
+        vst1q_f64(xp.add(i * LANES), s);
     }
 }

@@ -39,13 +39,6 @@ pub fn accum_scaled(acc: &mut [f64], z2: &[f64], k: f64, w: f64) {
     }
 }
 
-/// `acc[i] += w · ((a · z2[i]) · b)`.
-pub fn accum_scaled2(acc: &mut [f64], z2: &[f64], a: f64, b: f64, w: f64) {
-    for (g, &z) in acc.iter_mut().zip(z2) {
-        *g += w * ((a * z) * b);
-    }
-}
-
 /// `acc[i] += w · (k · ((d[i]·inv_l[i]) · (d[i]·inv_l[i])))`.
 pub fn accum_weighted_sq(acc: &mut [f64], d: &[f64], inv_l: &[f64], k: f64, w: f64) {
     for ((a, &di), &li) in acc.iter_mut().zip(d).zip(inv_l) {
@@ -66,37 +59,40 @@ pub fn fold_cols(dst: &mut [f64], src: &[f64], cols: &[(usize, f64)]) {
     }
 }
 
-/// Forward substitution `L z = b` for `lanes` lane-interleaved right-hand
-/// sides against the row-major factor `l`. Each lane `c` runs the exact
-/// scalar single-RHS recurrence: `s = b[i]; s -= L[i][k]·z[k] (k ascending);
-/// z[i] = s / L[i][i]`.
-pub fn forward_solve_interleaved(l: &[f64], n: usize, lanes: usize, b: &[f64], out: &mut [f64]) {
-    for i in 0..n {
+/// In-place forward substitution `L z = b` for `lanes` lane-interleaved
+/// right-hand sides against the row-major factor `l`, over the trailing
+/// block that starts at row and column `start` (rows above it are neither
+/// read nor written). Each lane `c` runs the exact scalar single-RHS
+/// recurrence: `s = x[i]; s -= L[i][k]·x[k] (k ascending from start);
+/// x[i] = s / L[i][i]`.
+pub fn forward_solve_interleaved(l: &[f64], n: usize, lanes: usize, start: usize, x: &mut [f64]) {
+    for i in start..n {
         let row = &l[i * n..i * n + n];
         for c in 0..lanes {
-            let mut s = b[i * lanes + c];
-            for k in 0..i {
-                s -= row[k] * out[k * lanes + c];
+            let mut s = x[i * lanes + c];
+            for k in start..i {
+                s -= row[k] * x[k * lanes + c];
             }
-            out[i * lanes + c] = s / row[i];
+            x[i * lanes + c] = s / row[i];
         }
     }
 }
 
-/// Back substitution `Lᵀ x = b` for `lanes` lane-interleaved right-hand
-/// sides against the packed column-major factor (`cols[j·(2n−j+1)/2..]`
-/// holds `L[j..n][j]`). Each lane runs the exact scalar recurrence with the
-/// `k` terms subtracted in ascending order.
-pub fn back_solve_interleaved(cols: &[f64], n: usize, lanes: usize, b: &[f64], out: &mut [f64]) {
-    for i in (0..n).rev() {
+/// In-place back substitution `Lᵀ x = b` for `lanes` lane-interleaved
+/// right-hand sides against the packed column-major factor
+/// (`cols[j·(2n−j+1)/2..]` holds `L[j..n][j]`), stopped after row `start`
+/// (rows above it are neither read nor written). Each lane runs the exact
+/// scalar recurrence with the `k` terms subtracted in ascending order.
+pub fn back_solve_interleaved(cols: &[f64], n: usize, lanes: usize, start: usize, x: &mut [f64]) {
+    for i in (start..n).rev() {
         let off = i * (2 * n - i + 1) / 2;
         let col = &cols[off..off + (n - i)];
         for c in 0..lanes {
-            let mut s = b[i * lanes + c];
+            let mut s = x[i * lanes + c];
             for k in (i + 1)..n {
-                s -= col[k - i] * out[k * lanes + c];
+                s -= col[k - i] * x[k * lanes + c];
             }
-            out[i * lanes + c] = s / col[0];
+            x[i * lanes + c] = s / col[0];
         }
     }
 }
