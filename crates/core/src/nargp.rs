@@ -309,8 +309,9 @@ impl MfGp {
         if self.quantiles.len() == 1 || sl < 1e-12 {
             return self.high.predict_strata_standardized(x, &[ml])[0];
         }
-        let strata: Vec<f64> = self.quantiles.iter().map(|&z| ml + sl * z).collect();
-        let samples = self.high.predict_strata_standardized(x, &strata);
+        let samples = self
+            .high
+            .predict_quantile_strata_standardized(x, ml, sl, &self.quantiles);
         let c = samples.len();
         let mut mean_sum = 0.0;
         let mut var_sum = 0.0;

@@ -1,7 +1,7 @@
 //! Gaussian-process regression model: training and posterior prediction.
 
 use crate::kernel::{Kernel, NargpKernel};
-use crate::nlml::{kernel_matrix_cached, nlml_with_grad_cached, NlmlWorkspace};
+use crate::nlml::{kernel_matrix_cached, nlml_state_grad, nlml_value_state, NlmlWorkspace};
 use crate::workspace::DiffBatch;
 use crate::GpError;
 use mfbo_infer::InferenceMode;
@@ -326,13 +326,16 @@ impl<K: Kernel> Gp<K> {
             Some(b) if Self::shared_usable(b, &xs) => NlmlWorkspace::from_batch(b, xs.len()),
             _ => NlmlWorkspace::new(&xs),
         };
-        let objective = |theta: &[f64]| nlml_with_grad_cached(&kernel, theta, &ws, &ys_std);
+        // L-BFGS probes with the value half and finishes the gradient only
+        // at the start and at accepted steps.
+        let value = |theta: &[f64]| nlml_value_state(&kernel, theta, &ws, &ys_std);
+        let grad = |theta: &[f64], state| nlml_state_grad(&kernel, theta, &ws, state);
         let optimizer = Lbfgs::new()
             .with_max_iters(config.max_iters)
             .with_grad_tol(1e-5);
 
         let results = par_map(config.parallelism, &starts, |s| {
-            optimizer.minimize(&objective, s, &theta_bounds)
+            optimizer.minimize_lazy(&value, &grad, s, &theta_bounds)
         });
         let mut best: Option<(Vec<f64>, f64)> = None;
         let mut best_start = 0usize;
@@ -1216,7 +1219,37 @@ impl Gp<NargpKernel> {
     ///
     /// Panics if `x.len()` differs from the kernel's design dimension.
     pub fn predict_strata_standardized(&self, x: &[f64], strata: &[f64]) -> Vec<(f64, f64)> {
-        mfbo_telemetry::counter!("predict_batch_points", strata.len() as u64);
+        self.predict_strata_with(x, strata.len(), |k| strata[k])
+    }
+
+    /// [`Gp::predict_strata_standardized`] at the quantile strata
+    /// `f_k = ml + sl · z_k` of a low-fidelity posterior `(ml, sl)`, one per
+    /// `z_k` in `quantiles`. Each lane group's strata are formed on the
+    /// stack, so no strata slice is allocated; bit-identical to passing the
+    /// explicit strata.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the kernel's design dimension.
+    pub fn predict_quantile_strata_standardized(
+        &self,
+        x: &[f64],
+        ml: f64,
+        sl: f64,
+        quantiles: &[f64],
+    ) -> Vec<(f64, f64)> {
+        self.predict_strata_with(x, quantiles.len(), |k| ml + sl * quantiles[k])
+    }
+
+    /// The strata posterior over `count` strata, stratum `k` being
+    /// `stratum(k)`, formed once per lane group.
+    fn predict_strata_with(
+        &self,
+        x: &[f64],
+        count: usize,
+        stratum: impl Fn(usize) -> f64,
+    ) -> Vec<(f64, f64)> {
+        mfbo_telemetry::counter!("predict_batch_points", count as u64);
         let n = self.xs.len();
         let d = self.kernel.design_dim();
         let be = mfbo_simd::active();
@@ -1234,8 +1267,13 @@ impl Gp<NargpKernel> {
         let (k3, ks) = rest.split_at_mut(n);
         let factors = self.kernel.factor_design(&self.params, x, &self.xs, k2, k3);
         let kss = factors.prior();
-        let mut out = Vec::with_capacity(strata.len());
-        for group in strata.chunks(lanes) {
+        let mut out = Vec::with_capacity(count);
+        for start in (0..count).step_by(lanes) {
+            let mut fs = [0.0; mfbo_simd::MAX_LANES];
+            let group = &mut fs[..lanes.min(count - start)];
+            for (c, f) in group.iter_mut().enumerate() {
+                *f = stratum(start + c);
+            }
             for (row, ((z, &a), &b)) in ks
                 .chunks_exact_mut(lanes)
                 .zip(self.xs.iter().zip(&*k2).zip(&*k3))

@@ -302,47 +302,6 @@ impl Kernel for SquaredExponential {
         }
     }
 
-    fn grad_from_diffs(&self, p: &[f64], batch: &DiffBatch<'_>, weights: &[f64], acc: &mut [f64]) {
-        debug_assert_eq!(weights.len(), batch.len());
-        debug_assert_eq!(acc.len(), self.num_params());
-        debug_assert_eq!(batch.dim(), self.dim);
-        let sf2 = (2.0 * p[0]).exp();
-        let inv_l = inv_lengthscales(&p[1..1 + self.dim]);
-        // One scratch for the whole batch instead of `eval_grad`'s
-        // per-pair allocation.
-        let mut z2 = vec![0.0; self.dim];
-        if let Some((be, _)) = batch.simd_rows() {
-            // Vectorized across dimensions within each pair; the per-pair
-            // accumulation into `acc` keeps the scalar pair order, so every
-            // partial sum matches the scalar path bit for bit.
-            let (acc0, accl) = acc.split_at_mut(1);
-            for (d, &w) in batch.diffs().chunks_exact(self.dim).zip(weights.iter()) {
-                mfbo_simd::z2_into(be, d, &inv_l, &mut z2);
-                let mut q = 0.0;
-                for &z2i in &z2 {
-                    q += z2i;
-                }
-                let k = sf2 * (-0.5 * q).exp();
-                acc0[0] += w * (2.0 * k);
-                mfbo_simd::accum_scaled(be, accl, &z2, k, w);
-            }
-            return;
-        }
-        for (d, &w) in batch.diffs().chunks_exact(self.dim).zip(weights.iter()) {
-            let mut q = 0.0;
-            for i in 0..self.dim {
-                let z = d[i] * inv_l[i];
-                z2[i] = z * z;
-                q += z2[i];
-            }
-            let k = sf2 * (-0.5 * q).exp();
-            acc[0] += w * (2.0 * k);
-            for i in 0..self.dim {
-                acc[1 + i] += w * (k * z2[i]);
-            }
-        }
-    }
-
     fn grad_from_diffs_with_values(
         &self,
         p: &[f64],
@@ -357,9 +316,9 @@ impl Kernel for SquaredExponential {
         debug_assert_eq!(acc.len(), self.num_params());
         debug_assert_eq!(batch.dim(), self.dim);
         // The SE gradient factors through the kernel value (`2k` and
-        // `k z_i²`), and `values[q]` is the bit-exact `k` the pair loop of
-        // `grad_from_diffs` would recompute — so the per-pair `exp`
-        // disappears and only the `z_i²` products remain.
+        // `k z_i²`), and `values[q]` is the bit-exact `k` that `eval_grad`
+        // would recompute per pair — so the per-pair `exp` disappears and
+        // only the `z_i²` products remain.
         let inv_l = inv_lengthscales(&p[1..1 + self.dim]);
         if let Some((be, _)) = batch.simd_rows() {
             let (acc0, accl) = acc.split_at_mut(1);

@@ -48,5 +48,8 @@ pub mod workspace;
 pub use error::GpError;
 pub use gp::{Gp, GpConfig, Prediction};
 pub use mfbo_infer::InferenceMode;
-pub use nlml::{nlml, nlml_cached, nlml_with_grad, nlml_with_grad_cached, NlmlWorkspace};
+pub use nlml::{
+    nlml, nlml_cached, nlml_state_grad, nlml_value_state, nlml_with_grad, nlml_with_grad_cached,
+    NlmlState, NlmlWorkspace,
+};
 pub use workspace::{DiffBatch, FitCache};

@@ -253,38 +253,56 @@ pub fn nlml_with_grad<K: Kernel>(
     (value, grad)
 }
 
-/// [`nlml_with_grad`] evaluated through a per-fit difference workspace.
+/// What the value half of a cached NLML evaluation keeps for the gradient
+/// half: the raw (noise-free) kernel values and per-pair records of the
+/// eval pass, `σ_n²`, the Cholesky factor and `α = K⁻¹ y` — or nothing when
+/// the kernel matrix could not be factorized.
 ///
-/// Bit-identical to the naive path: the trace weights `Wᵢⱼ` are computed in
-/// the same lower-triangle order and handed to
-/// [`Kernel::grad_from_diffs_with_values`] (together with the kernel values
-/// and per-pair records the eval pass already produced), whose accumulation
-/// contract matches the naive pair-by-pair loop exactly. The noise-slot
-/// gradient is a separate accumulator, so summing it over the diagonal
-/// afterwards reproduces the naive interleaved order bit for bit.
+/// Made by [`nlml_value_state`], consumed by [`nlml_state_grad`].
+pub struct NlmlState<R> {
+    kept: Option<Kept<R>>,
+}
+
+struct Kept<R> {
+    kv: Vec<f64>,
+    records: Vec<R>,
+    sn2: f64,
+    chol: Cholesky,
+    alpha: Vec<f64>,
+}
+
+/// The value half of [`nlml_with_grad_cached`]: the NLML at `theta`, plus
+/// the state [`nlml_state_grad`] finishes the gradient from. L-BFGS calls
+/// this at every line-search probe and finishes the gradient only at
+/// accepted points.
+///
+/// The value is the gradient path's own `½ (y·α + log|K| + N log 2π)` with
+/// `α` from [`Cholesky::solve_vec`], bit-identical to
+/// [`nlml_with_grad`]'s (not [`nlml_cached`]'s quadratic form, which rounds
+/// differently). Returns `f64::INFINITY` and an empty state when the kernel
+/// matrix cannot be factorized.
 ///
 /// # Panics
 ///
 /// Panics if `theta.len() != kernel.num_params() + 1` or if the workspace
 /// and `ys` lengths disagree.
-pub fn nlml_with_grad_cached<K: Kernel>(
+pub fn nlml_value_state<K: Kernel>(
     kernel: &K,
     theta: &[f64],
     ws: &NlmlWorkspace<'_>,
     ys: &[f64],
-) -> (f64, Vec<f64>) {
+) -> (f64, NlmlState<K::PairRecord>) {
     assert_eq!(
         theta.len(),
         kernel.num_params() + 1,
         "theta layout mismatch"
     );
     assert_eq!(ws.n, ys.len(), "workspace/ys length mismatch");
-    let np = kernel.num_params();
-    let (kp, log_noise) = theta.split_at(np);
+    let (kp, log_noise) = theta.split_at(kernel.num_params());
     let n = ws.n;
     // Keep the raw (noise-free) kernel values and per-pair records of the
-    // eval pass alive: the gradient hook below reuses them, saving kernels
-    // whose gradient factors through them a second per-pair `exp` sweep.
+    // eval pass alive: the gradient hook reuses them, saving kernels whose
+    // gradient factors through them a second per-pair `exp` sweep.
     let mut kv = vec![0.0; ws.batch().len()];
     let mut records = vec![K::PairRecord::default(); ws.batch().len()];
     kernel.eval_from_diffs_recorded(kp, ws.batch(), &mut kv, &mut records);
@@ -293,11 +311,61 @@ pub fn nlml_with_grad_cached<K: Kernel>(
     mfbo_telemetry::counter!("nlml_evals", 1u64);
     let chol = match Cholesky::new_with_jitter(&km, 1e-10, 1e-4) {
         Ok(c) => c,
-        Err(_) => return (f64::INFINITY, vec![0.0; theta.len()]),
+        Err(_) => return (f64::INFINITY, NlmlState { kept: None }),
     };
     let alpha = chol.solve_vec(ys);
     let value = 0.5 * (mfbo_linalg::dot(ys, &alpha) + chol.log_det() + n as f64 * LOG_2PI);
+    let kept = Kept {
+        kv,
+        records,
+        sn2,
+        chol,
+        alpha,
+    };
+    (value, NlmlState { kept: Some(kept) })
+}
 
+/// The gradient half of [`nlml_with_grad_cached`]: finishes the NLML
+/// gradient at `theta` from the [`nlml_value_state`] state of the same
+/// `theta`, workspace and kernel. Zeros when that evaluation could not
+/// factorize the kernel matrix.
+///
+/// The trace weights `Wᵢⱼ` are computed in the naive path's lower-triangle
+/// order and handed to [`Kernel::grad_from_diffs_with_values`] (together
+/// with the kept kernel values and per-pair records), whose accumulation
+/// contract matches the naive pair-by-pair loop exactly. The noise-slot
+/// gradient is a separate accumulator, so summing it over the diagonal
+/// afterwards reproduces the naive interleaved order bit for bit.
+///
+/// # Panics
+///
+/// Panics if `theta.len() != kernel.num_params() + 1` or if the state was
+/// made over a different workspace.
+pub fn nlml_state_grad<K: Kernel>(
+    kernel: &K,
+    theta: &[f64],
+    ws: &NlmlWorkspace<'_>,
+    state: NlmlState<K::PairRecord>,
+) -> Vec<f64> {
+    assert_eq!(
+        theta.len(),
+        kernel.num_params() + 1,
+        "theta layout mismatch"
+    );
+    let mut grad = vec![0.0; theta.len()];
+    let Some(Kept {
+        kv,
+        records,
+        sn2,
+        chol,
+        alpha,
+    }) = state.kept
+    else {
+        return grad;
+    };
+    let np = kernel.num_params();
+    let n = ws.n;
+    assert_eq!(kv.len(), ws.batch().len(), "state/workspace mismatch");
     // W = K⁻¹ − α αᵀ (symmetric), flattened in lower-triangle pair order
     // (diagonal entries carry the ½ trace factor). Only the lower triangle
     // of K⁻¹ is read, so the early-stopped inverse suffices — its computed
@@ -312,14 +380,35 @@ pub fn nlml_with_grad_cached<K: Kernel>(
             q += 1;
         }
     }
-    let mut grad = vec![0.0; theta.len()];
+    let kp = &theta[..np];
     kernel.grad_from_diffs_with_values(kp, ws.batch(), &weights, &kv, &records, &mut grad[..np]);
     for i in 0..n {
         // Diagonal pair (i, i) sits at lower-triangle index i(i+3)/2.
         let weight = weights[i * (i + 3) / 2];
         grad[np] += weight * 2.0 * sn2;
     }
-    (value, grad)
+    grad
+}
+
+/// [`nlml_with_grad`] evaluated through a per-fit difference workspace:
+/// [`nlml_value_state`] followed by [`nlml_state_grad`], bit-identical to
+/// the naive path.
+///
+/// Returns `(f64::INFINITY, zeros)` when the kernel matrix cannot be
+/// factorized.
+///
+/// # Panics
+///
+/// Panics if `theta.len() != kernel.num_params() + 1` or if the workspace
+/// and `ys` lengths disagree.
+pub fn nlml_with_grad_cached<K: Kernel>(
+    kernel: &K,
+    theta: &[f64],
+    ws: &NlmlWorkspace<'_>,
+    ys: &[f64],
+) -> (f64, Vec<f64>) {
+    let (value, state) = nlml_value_state(kernel, theta, ws, ys);
+    (value, nlml_state_grad(kernel, theta, ws, state))
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 
 use mfbo_gp::kernel::{Kernel, Matern52, NargpKernel, SquaredExponential};
 use mfbo_gp::{
-    nlml, nlml_cached, nlml_with_grad, nlml_with_grad_cached, DiffBatch, Gp, GpConfig,
-    NlmlWorkspace,
+    nlml, nlml_cached, nlml_state_grad, nlml_value_state, nlml_with_grad, nlml_with_grad_cached,
+    DiffBatch, Gp, GpConfig, NlmlWorkspace,
 };
 use mfbo_linalg::{Cholesky, Matrix};
 use proptest::prelude::*;
@@ -269,8 +269,103 @@ mod bit_identity {
         Ok(())
     }
 
+    /// The value half of a cached NLML evaluation, then the gradient half
+    /// from its state, is the uncached [`nlml_with_grad`] bit for bit —
+    /// the (value, gradient) pair L-BFGS sees at every accepted point.
+    fn check_value_then_grad<K: Kernel>(
+        kernel: &K,
+        theta: &[f64],
+        xs: &[Vec<f64>],
+        ys: &[f64],
+    ) -> Result<(), TestCaseError> {
+        let ws = NlmlWorkspace::new(xs);
+        let (v, state) = nlml_value_state(kernel, theta, &ws, ys);
+        let g = nlml_state_grad(kernel, theta, &ws, state);
+        let (rv, rg) = nlml_with_grad(kernel, theta, xs, ys);
+        prop_assert_eq!(v.to_bits(), rv.to_bits());
+        prop_assert_eq!(g.len(), rg.len());
+        for (a, b) in g.iter().zip(&rg) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+        Ok(())
+    }
+
+    /// Smooth test targets from the first and last coordinate of each point.
+    fn targets(xs: &[Vec<f64>]) -> Vec<f64> {
+        xs.iter()
+            .map(|x| (4.0 * x[0]).sin() + x.last().unwrap() * x[0])
+            .collect()
+    }
+
+    #[test]
+    fn value_then_grad_of_unfactorizable_theta_is_inf_and_zeros() {
+        // σ_f² = e^800 overflows, so no jitter rescues the kernel matrix.
+        let xs: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64 / 5.0]).collect();
+        let ys = targets(&xs);
+        let k = SquaredExponential::new(1);
+        let theta = [400.0, -1.0, -2.0];
+        let (rv, rg) = nlml_with_grad(&k, &theta, &xs, &ys);
+        assert_eq!(rv, f64::INFINITY);
+        assert_eq!(rg, vec![0.0; 3]);
+        check_value_then_grad(&k, &theta, &xs, &ys).unwrap();
+        let nk = NargpKernel::new(1);
+        let mut ntheta = nk.default_params();
+        ntheta[0] = 400.0;
+        ntheta.push(-2.0);
+        let nxs: Vec<Vec<f64>> = xs.iter().map(|x| vec![x[0], x[0] * x[0]]).collect();
+        assert_eq!(nlml_with_grad(&nk, &ntheta, &nxs, &ys).0, f64::INFINITY);
+        check_value_then_grad(&nk, &ntheta, &nxs, &ys).unwrap();
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn value_then_grad_bit_identical_se_d1(
+            xs in points(9, 1),
+            logsf in -0.5f64..0.5,
+            logl in -2.0f64..0.5,
+            logn in -4.0f64..-1.0,
+        ) {
+            let k = SquaredExponential::new(1);
+            check_value_then_grad(&k, &[logsf, logl, logn], &xs, &targets(&xs))?;
+        }
+
+        #[test]
+        fn value_then_grad_bit_identical_se_d5(
+            xs in points(11, 5),
+            logsf in -0.5f64..0.5,
+            logl in -1.0f64..0.5,
+            logn in -4.0f64..-1.0,
+        ) {
+            let k = SquaredExponential::new(5);
+            let theta = [logsf, logl, logl - 0.3, logl + 0.2, logl, logl - 0.1, logn];
+            check_value_then_grad(&k, &theta, &xs, &targets(&xs))?;
+        }
+
+        #[test]
+        fn value_then_grad_bit_identical_nargp_d1(
+            xs in points(9, 2),
+            shift in -0.5f64..0.5,
+            logn in -4.0f64..-1.0,
+        ) {
+            let k = NargpKernel::new(1);
+            let mut theta: Vec<f64> = k.default_params().iter().map(|p| p + shift).collect();
+            theta.push(logn);
+            check_value_then_grad(&k, &theta, &xs, &targets(&xs))?;
+        }
+
+        #[test]
+        fn value_then_grad_bit_identical_nargp_d5(
+            xs in points(10, 6),
+            shift in -0.5f64..0.5,
+            logn in -4.0f64..-1.0,
+        ) {
+            let k = NargpKernel::new(5);
+            let mut theta: Vec<f64> = k.default_params().iter().map(|p| p + shift).collect();
+            theta.push(logn);
+            check_value_then_grad(&k, &theta, &xs, &targets(&xs))?;
+        }
 
         /// Differential oracle for the cross-iteration fit cache: a cache
         /// grown by arbitrary append/truncate/sync sequences must serve a

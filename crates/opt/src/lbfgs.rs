@@ -1,12 +1,16 @@
 //! Limited-memory BFGS with projected box bounds.
 //!
 //! This is the workhorse behind GP hyperparameter training (minimizing the
-//! negative log marginal likelihood in log-hyperparameter space) and the
-//! final polish of acquisition optima. The implementation is the standard
-//! two-loop recursion with an Armijo backtracking line search; box bounds
-//! are handled by projecting both the iterates and the search direction
-//! (a gradient-projection scheme that is simple and robust for the smooth,
-//! low-dimensional problems we solve).
+//! negative log marginal likelihood in log-hyperparameter space). The
+//! implementation is the standard two-loop recursion with an Armijo
+//! backtracking line search; box bounds are handled by projecting both the
+//! iterates and the search direction (a gradient-projection scheme that is
+//! simple and robust for the smooth, low-dimensional problems we solve).
+//!
+//! The line search reads only objective values, so the objective is split
+//! into a value half and a deferred gradient half
+//! ([`Lbfgs::minimize_lazy`]): every probe computes the value, and the
+//! gradient is finished only at the start point and at each accepted step.
 
 use crate::{Bounds, OptResult};
 use std::collections::VecDeque;
@@ -85,11 +89,8 @@ impl Lbfgs {
     }
 
     /// Minimizes `fg` (returning `(value, gradient)`) from `x0` inside
-    /// `bounds`.
-    ///
-    /// Non-finite objective values are treated as `+inf`, which the line
-    /// search simply backs away from; this matters for NLML surfaces that
-    /// blow up when a kernel matrix loses positive definiteness.
+    /// `bounds`: [`Lbfgs::minimize_lazy`] with the gradient computed eagerly
+    /// and an identity finisher.
     ///
     /// # Panics
     ///
@@ -98,10 +99,41 @@ impl Lbfgs {
     where
         F: Fn(&[f64]) -> (f64, Vec<f64>) + ?Sized,
     {
+        self.minimize_lazy(fg, &|_: &[f64], g: Vec<f64>| g, x0, bounds)
+    }
+
+    /// Minimizes an objective whose gradient is deferred: `value(x)` returns
+    /// the objective value and a state `S`, and `finish(x, state)` turns the
+    /// state of the same `x` into the gradient there.
+    ///
+    /// `finish` runs exactly once at the start point and once per accepted
+    /// step; a line-search probe that is rejected has its state dropped
+    /// unfinished, so at most one state is alive at a time.
+    /// [`OptResult::evaluations`] counts `value` calls.
+    ///
+    /// Non-finite objective values are treated as `+inf`, which the line
+    /// search simply backs away from; this matters for NLML surfaces that
+    /// blow up when a kernel matrix loses positive definiteness.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x0.len() != bounds.dim()`.
+    pub fn minimize_lazy<S, F, G>(
+        &self,
+        value: &F,
+        finish: &G,
+        x0: &[f64],
+        bounds: &Bounds,
+    ) -> OptResult
+    where
+        F: Fn(&[f64]) -> (f64, S) + ?Sized,
+        G: Fn(&[f64], S) -> Vec<f64> + ?Sized,
+    {
         assert_eq!(x0.len(), bounds.dim(), "x0 dimension mismatch");
         let n = x0.len();
         let mut x = bounds.clamp(x0);
-        let (mut f, mut g) = fg(&x);
+        let (mut f, state) = value(&x);
+        let mut g = finish(&x, state);
         let mut evals = 1usize;
         if !f.is_finite() {
             f = f64::INFINITY;
@@ -159,7 +191,7 @@ impl Lbfgs {
 
             // Armijo backtracking line search with projection onto bounds.
             let c1 = 1e-4;
-            let mut line_search = |d: &[f64]| -> Option<(Vec<f64>, f64)> {
+            let mut line_search = |d: &[f64]| -> Option<(Vec<f64>, f64, S)> {
                 let g_dot_d = mfbo_linalg::dot(&pg, d);
                 let mut step = 1.0;
                 let mut x_new = x.clone();
@@ -168,7 +200,7 @@ impl Lbfgs {
                         x_new[i] = x[i] + step * d[i];
                     }
                     bounds.clamp_in_place(&mut x_new);
-                    let (fv, _) = probe(fg, &x_new);
+                    let (fv, state) = value(&x_new);
                     evals += 1;
                     // Armijo on the projected step (use the actual
                     // displacement when the direction was not provably a
@@ -180,8 +212,9 @@ impl Lbfgs {
                         -c1 * mfbo_linalg::norm2(&actual)
                     };
                     if fv.is_finite() && fv <= f + pred {
-                        return Some((x_new, fv));
+                        return Some((x_new, fv, state));
                     }
+                    // A rejected probe's state is dropped unfinished here.
                     step *= 0.5;
                 }
                 None
@@ -198,7 +231,7 @@ impl Lbfgs {
                 }
                 r
             });
-            let (x_new, f_new) = match attempt {
+            let (x_new, f_new, state) = match attempt {
                 Some(v) => v,
                 None => {
                     // Both directions failed: we are at a (projected)
@@ -208,8 +241,7 @@ impl Lbfgs {
                 }
             };
 
-            let (_, g_new) = fg(&x_new);
-            evals += 1;
+            let g_new = finish(&x_new, state);
             let s: Vec<f64> = x_new.iter().zip(&x).map(|(a, b)| a - b).collect();
             // Curvature pairs use projected gradients so the memory stays
             // consistent with the projected search directions.
@@ -249,20 +281,6 @@ impl Lbfgs {
     }
 }
 
-/// Evaluates `fg`, mapping non-finite values to `+inf` so the line search
-/// treats them as "worse than anything".
-fn probe<F>(fg: &F, x: &[f64]) -> (f64, Vec<f64>)
-where
-    F: Fn(&[f64]) -> (f64, Vec<f64>) + ?Sized,
-{
-    let (f, g) = fg(x);
-    if f.is_finite() {
-        (f, g)
-    } else {
-        (f64::INFINITY, g)
-    }
-}
-
 /// Gradient with components pointing out of the feasible box zeroed.
 fn projected_gradient(x: &[f64], g: &[f64], bounds: &Bounds) -> Vec<f64> {
     let eps = 1e-12;
@@ -285,6 +303,7 @@ fn projected_gradient(x: &[f64], g: &[f64], bounds: &Bounds) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::numgrad::with_central_gradient;
+    use std::cell::{Cell, RefCell};
 
     #[test]
     fn quadratic_bowl() {
@@ -347,6 +366,109 @@ mod tests {
         let b = Bounds::new(vec![1.0], vec![2.0]);
         let r = Lbfgs::new().minimize(&fg, &[100.0], &b);
         assert!((r.x[0] - 1.0).abs() < 1e-9);
+    }
+
+    /// Log of a deferred-gradient objective: every `value` call and every
+    /// finished state, plus the states dropped unfinished.
+    #[derive(Default)]
+    struct Log {
+        values: RefCell<Vec<Vec<f64>>>,
+        finished: RefCell<Vec<Vec<f64>>>,
+        live: Cell<usize>,
+        dropped: Cell<usize>,
+    }
+
+    /// The state of one `value` call: the gradient it would finish to.
+    struct Pending<'a> {
+        x: Vec<f64>,
+        g: Vec<f64>,
+        done: bool,
+        log: &'a Log,
+    }
+
+    impl Drop for Pending<'_> {
+        fn drop(&mut self) {
+            self.log.live.set(self.log.live.get() - 1);
+            if !self.done {
+                self.log.dropped.set(self.log.dropped.get() + 1);
+            }
+        }
+    }
+
+    /// Runs `minimize_lazy` on `fg` split into a logged value half and a
+    /// logged finisher, asserting on the way that no two states are ever
+    /// alive together and that a state is finished right after the value
+    /// call that made it, at the same point.
+    fn run_logged<F>(fg: F, x0: &[f64], b: &Bounds, lbfgs: &Lbfgs) -> (OptResult, Log)
+    where
+        F: Fn(&[f64]) -> (f64, Vec<f64>),
+    {
+        let log = Log::default();
+        let value = |x: &[f64]| {
+            assert_eq!(log.live.get(), 0, "a state is alive at a new value call");
+            log.live.set(1);
+            log.values.borrow_mut().push(x.to_vec());
+            let (v, g) = fg(x);
+            let state = Pending {
+                x: x.to_vec(),
+                g,
+                done: false,
+                log: &log,
+            };
+            (v, state)
+        };
+        let finish = |x: &[f64], mut state: Pending<'_>| {
+            assert_eq!(state.x, x, "state finished at another point");
+            assert_eq!(
+                log.values.borrow().last().map(Vec::as_slice),
+                Some(x),
+                "state finished after a later value call"
+            );
+            log.finished.borrow_mut().push(x.to_vec());
+            state.done = true;
+            std::mem::take(&mut state.g)
+        };
+        let r = lbfgs.minimize_lazy(&value, &finish, x0, b);
+        assert_eq!(log.live.get(), 0);
+        (r, log)
+    }
+
+    #[test]
+    fn gradient_finished_only_at_start_and_accepted_steps() {
+        // x² from 4: the unit step lands on -4 (no decrease, rejected), the
+        // half step on 0 (accepted), where the gradient vanishes.
+        let fg = |x: &[f64]| (x[0] * x[0], vec![2.0 * x[0]]);
+        let b = Bounds::symmetric(1, 10.0);
+        let (r, log) = run_logged(fg, &[4.0], &b, &Lbfgs::new());
+        assert_eq!(*log.values.borrow(), vec![vec![4.0], vec![-4.0], vec![0.0]]);
+        assert_eq!(*log.finished.borrow(), vec![vec![4.0], vec![0.0]]);
+        assert_eq!(log.dropped.get(), 1);
+        assert_eq!(r.evaluations, 3);
+        assert_eq!(r.x, vec![0.0]);
+    }
+
+    #[test]
+    fn lazy_counts_match_value_calls_on_rosenbrock() {
+        let fg = |x: &[f64]| {
+            let v = (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2);
+            let g = vec![
+                -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] * x[0]),
+                200.0 * (x[1] - x[0] * x[0]),
+            ];
+            (v, g)
+        };
+        let b = Bounds::symmetric(2, 10.0);
+        let lbfgs = Lbfgs::new().with_max_iters(1000);
+        let (r, log) = run_logged(fg, &[-1.2, 1.0], &b, &lbfgs);
+        let values = log.values.borrow().len();
+        let finished = log.finished.borrow();
+        assert_eq!(r.evaluations, values);
+        assert_eq!(finished.len() + log.dropped.get(), values);
+        assert!(log.dropped.get() > 0, "no probe was rejected");
+        assert_eq!(finished.last(), Some(&r.x));
+        // The eager path walks the same trajectory with the same count.
+        let eager = lbfgs.minimize(&fg, &[-1.2, 1.0], &b);
+        assert_eq!(eager, r);
     }
 
     #[test]

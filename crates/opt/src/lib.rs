@@ -5,8 +5,10 @@
 //!
 //! * **L-BFGS** ([`lbfgs::Lbfgs`]) with projected box bounds — used to
 //!   minimize the GP negative log marginal likelihood (with analytic
-//!   gradients) and to polish acquisition-function optima (with numeric
-//!   gradients via [`numgrad::central_gradient`]).
+//!   gradients, finished only at accepted steps). Objectives without an
+//!   analytic gradient can use numeric ones via
+//!   [`numgrad::central_gradient`]; no acquisition path does, MSP searches
+//!   with Nelder–Mead.
 //! * **Nelder–Mead** ([`neldermead::NelderMead`]) — a derivative-free local
 //!   searcher used inside the multiple-starting-point strategy where the
 //!   Monte-Carlo acquisition surface is noisy.

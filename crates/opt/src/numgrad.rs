@@ -1,10 +1,11 @@
 //! Numerical differentiation helpers.
 //!
-//! Acquisition functions built on the Monte-Carlo multi-fidelity posterior
-//! have no cheap analytic gradient, so the L-BFGS polish step uses
-//! central-difference gradients from this module. The step size scales with
-//! the magnitude of each coordinate to keep relative truncation and rounding
-//! error balanced.
+//! Central-difference gradients for objectives without an analytic
+//! gradient, for use with L-BFGS ([`with_central_gradient`]). The BO loop
+//! itself does not use them: the NLML has an analytic gradient, and the
+//! acquisition functions are searched derivative-free (Nelder–Mead inside
+//! MSP). The step size scales with the magnitude of each coordinate to keep
+//! relative truncation and rounding error balanced.
 
 /// Central-difference gradient of `f` at `x`.
 ///
@@ -37,8 +38,8 @@ pub fn central_gradient<F: Fn(&[f64]) -> f64 + ?Sized>(f: &F, x: &[f64]) -> Vec<
     g
 }
 
-/// Wraps a value-only function into the `(value, gradient)` closure form
-/// expected by [`crate::lbfgs::Lbfgs::minimize`], using
+/// Wraps a value-only function into the eager `(value, gradient)` closure
+/// form expected by [`crate::lbfgs::Lbfgs::minimize`], using
 /// [`central_gradient`].
 pub fn with_central_gradient<F>(f: F) -> impl Fn(&[f64]) -> (f64, Vec<f64>)
 where
